@@ -103,16 +103,17 @@ class Specification:
 
     def __post_init__(self):
         object.__setattr__(self, "declarations", tuple(self.declarations))
-
-    def by_name(self) -> dict[str, Declaration]:
-        """Name table; on duplicates the first occurrence wins."""
         table: dict[str, Declaration] = {}
         for d in self.declarations:
             table.setdefault(d.name, d)
-        return table
+        object.__setattr__(self, "_table", table)
+
+    def by_name(self) -> dict[str, Declaration]:
+        """Copy of the name table; on duplicates the first occurrence wins."""
+        return dict(self._table)
 
     def find(self, name: str) -> Declaration | None:
-        return self.by_name().get(name)
+        return self._table.get(name)
 
 
 @dataclass(frozen=True)
@@ -140,6 +141,10 @@ def _is_required_context(decl: Declaration | None) -> bool:
     return isinstance(decl, ContextDecl) and decl.contract.trigger is None
 
 
+def _is_provided_context(decl: Declaration | None) -> bool:
+    return isinstance(decl, ContextDecl) and decl.contract.trigger is not None
+
+
 def validate(spec: Specification) -> list[Diagnostic]:
     """Check every structural rule; empty result means the spec is well-formed.
 
@@ -147,15 +152,15 @@ def validate(spec: Specification) -> list[Diagnostic]:
     index, with a fixed check order within each declaration.
     """
     diags: list[Diagnostic] = []
-    table: dict[str, Declaration] = {}
+    table = spec._table
+    seen: set[str] = set()
 
     for i, decl in enumerate(spec.declarations):
         if not NAME_RE.fullmatch(decl.name):
             diags.append(Diagnostic(i, "BAD_NAME", f"'{decl.name}' is not a valid component name"))
-        if decl.name in table:
+        if decl.name in seen:
             diags.append(Diagnostic(i, "DUP_NAME", f"'{decl.name}' is already declared"))
-        else:
-            table[decl.name] = decl
+        seen.add(decl.name)
 
     for i, decl in enumerate(spec.declarations):
         if isinstance(decl, ContextDecl):
@@ -163,10 +168,13 @@ def validate(spec: Specification) -> list[Diagnostic]:
         elif isinstance(decl, ControllerDecl):
             diags.extend(_check_controller(i, decl, table))
 
-    members = _get_cycle_members(spec)
+    pulls = _cycle_members(spec, _is_required_context, lambda d: d.contract.get_target)
+    publishes = _cycle_members(spec, _is_provided_context, lambda d: d.contract.trigger)
     for i, decl in enumerate(spec.declarations):
-        if decl.name in members and _is_required_context(decl):
+        if decl.name in pulls and _is_required_context(decl):
             diags.append(Diagnostic(i, "GET_CYCLE", f"get dependencies of '{decl.name}' form a cycle"))
+        elif decl.name in publishes and _is_provided_context(decl):
+            diags.append(Diagnostic(i, "PUBLISH_CYCLE", f"publish triggers of '{decl.name}' form a cycle"))
 
     diags.sort(key=lambda d: d.index)
     return diags
@@ -221,27 +229,27 @@ def _check_controller(i: int, decl: ControllerDecl, table: dict[str, Declaration
     return out
 
 
-def _get_cycle_members(spec: Specification) -> set[str]:
-    """Names of when-required contexts whose get chains loop back to them."""
-    required: dict[str, ContextDecl] = {}
+def _cycle_members(spec: Specification, keep, successor) -> set[str]:
+    """Names on a cycle of the graph over the kept declarations.
+
+    The first kept declaration of each name is its node, and a node's only
+    edge leads to ``successor(decl)`` when that names a node, itself
+    included. With at most one successor per node, a walk from each node
+    that stops at the first node already walked visits every node once:
+    linear time.
+    """
+    nodes: dict[str, Declaration] = {}
     for decl in spec.declarations:
-        if _is_required_context(decl):
-            required.setdefault(decl.name, decl)
-    adjacency = {
-        name: [decl.contract.get_target] if decl.contract.get_target in required else []
-        for name, decl in required.items()
-    }
-    members = set()
-    for start in adjacency:
-        seen: set[str] = set()
-        stack = list(adjacency[start])
-        while stack:
-            node = stack.pop()
-            if node == start:
-                members.add(start)
-                break
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(adjacency.get(node, ()))
+        if keep(decl):
+            nodes.setdefault(decl.name, decl)
+    members: set[str] = set()
+    walked: set[str] = set()
+    for name in nodes:
+        path: dict[str, int] = {}  # this walk's nodes, in order
+        while name in nodes and name not in walked:
+            walked.add(name)
+            path[name] = len(path)
+            name = successor(nodes[name])
+        if name in path:  # the walk closed a loop of its own
+            members.update(list(path)[path[name]:])
     return members

@@ -33,8 +33,14 @@ class FlowGraph:
     nodes: tuple[FlowNode, ...]
     edges: tuple[FlowEdge, ...]
 
-    def node_names(self) -> set[str]:
-        return {n.name for n in self.nodes}
+    def __post_init__(self):
+        # Built once, for source_ancestors; not fields, so equality is unchanged.
+        preds: dict[str, list[str]] = {}
+        for e in self.edges:
+            preds.setdefault(e.dst, []).append(e.src)
+        object.__setattr__(self, "_preds", preds)
+        object.__setattr__(self, "_names", {n.name for n in self.nodes})
+        object.__setattr__(self, "_sources", {n.name for n in self.nodes if n.kind == "source"})
 
 
 def build_flow_graph(spec: Specification) -> FlowGraph:
@@ -54,20 +60,16 @@ def build_flow_graph(spec: Specification) -> FlowGraph:
 
 def source_ancestors(graph: FlowGraph, name: str) -> set[str]:
     """Sources from which ``name`` is reachable; a source is its own ancestor."""
-    if name not in graph.node_names():
+    if name not in graph._names:
         raise KernelError("NOT_FOUND", f"'{name}' is not a node of the flow graph", component=name)
-    preds: dict[str, list[str]] = {}
-    for e in graph.edges:
-        preds.setdefault(e.dst, []).append(e.src)
     reached = {name}
     frontier = deque([name])
     while frontier:
-        for p in preds.get(frontier.popleft(), ()):
+        for p in graph._preds.get(frontier.popleft(), ()):
             if p not in reached:
                 reached.add(p)
                 frontier.append(p)
-    sources = {n.name for n in graph.nodes if n.kind == "source"}
-    return reached & sources
+    return reached & graph._sources
 
 
 _DOT_SHAPES = {"source": "box", "action": "box", "context": "ellipse", "controller": "diamond"}

@@ -45,14 +45,13 @@ class TraceEvent:
 
 
 class _Activation:
-    __slots__ = ("component", "contract", "taints", "fired", "closed", "fault")
+    __slots__ = ("component", "contract", "taints", "fired", "fault")
 
     def __init__(self, component: str, contract: BoundaryContract):
         self.component = component
         self.contract = contract
         self.taints: set[str] = set()
         self.fired = False  # a continuation has taken effect
-        self.closed = False
         self.fault: RuntimeFault | None = None
 
 
@@ -61,8 +60,9 @@ class Runtime:
 
     Lifecycle: register implementations and bind platform resources, seal,
     then emit source values. Each emission drains the activation queue to
-    quiescence before returning. Any activation fault aborts the drain and
-    poisons the engine: it stays inspectable but accepts no further emits.
+    quiescence before returning. Anything that escapes a drain, an activation
+    fault or an exception from a platform hook, drops the queue and poisons
+    the engine: it stays inspectable but accepts no further emits.
     """
 
     def __init__(self, spec: Specification):
@@ -155,31 +155,7 @@ class Runtime:
                               "unbound resources: " + ", ".join(missing_bindings))
             err.names = tuple(missing_bindings)
             raise err
-        looped = self._publish_cycle()
-        if looped:
-            raise KernelError("SEAL_CYCLE",
-                              "publish subscriptions form a cycle through: " + ", ".join(sorted(looped)))
         self._sealed = True
-
-    def _publish_cycle(self) -> set[str]:
-        # Cycles in trigger -> subscriber edges between when-provided contexts
-        # would make emission drains diverge, so they are rejected here.
-        provided = {d.name: d for d in self.spec.declarations
-                    if isinstance(d, ContextDecl) and d.contract.trigger is not None}
-        adjacency = {n: [d.contract.trigger] if d.contract.trigger in provided else []
-                     for n, d in provided.items()}
-        looped = set()
-        for start in adjacency:
-            seen, stack = set(), list(adjacency[start])
-            while stack:
-                node = stack.pop()
-                if node == start:
-                    looped.add(start)
-                    break
-                if node not in seen:
-                    seen.add(node)
-                    stack.extend(adjacency.get(node, ()))
-        return looped
 
     # -- execution ---------------------------------------------------------
 
@@ -218,7 +194,7 @@ class Runtime:
         return provider
 
     def action_log(self) -> tuple[tuple[str, TaintedValue], ...]:
-        """Every action delivery so far, in delivery order."""
+        """Every action delivery its sink accepted so far, in delivery order."""
         return tuple(self._log)
 
     def _drain(self):
@@ -226,7 +202,7 @@ class Runtime:
             while self._queue:
                 component, tainted = self._queue.popleft()
                 self._activate(component, tainted)
-        except RuntimeFault:
+        except BaseException:
             self._failed = True
             self._queue.clear()
             raise
@@ -274,7 +250,6 @@ class Runtime:
                                    f"implementation raised {type(exc).__name__}: {exc}",
                                    component=component) from exc
         finally:
-            act.closed = True
             self._stack.pop()
 
         if act.fault is not None:  # a fault the implementation swallowed
@@ -300,7 +275,7 @@ class Runtime:
     # -- handles -----------------------------------------------------------
 
     def _guard(self, act: _Activation):
-        if act.closed or not self._stack or self._stack[-1] is not act:
+        if not self._stack or self._stack[-1] is not act:
             fault = RuntimeFault("STALE_HANDLE",
                                  "handle used outside the activation it was granted to",
                                  component=act.component)
@@ -339,8 +314,8 @@ class Runtime:
                                   f"value sent to '{cap.target}' must be {cap.value_type}, "
                                   f"got {payload!r}")
             tainted = TaintedValue(Value(cap.value_type, payload), frozenset(act.taints))
-            self._log.append((cap.target, tainted))
             self._actions[cap.target](tainted.value)
+            self._log.append((cap.target, tainted))
         return send
 
     def _resolve_pull(self, act: _Activation, cap: Capability) -> TaintedValue:

@@ -37,6 +37,20 @@ def test_check_reports_diagnostics_with_positions(run_cli, tmp_path):
     assert err == f"{bad}:2:1: DUP_NAME: 'Camera' is already declared\n"
 
 
+def test_check_rejects_publish_cycles(run_cli, tmp_path):
+    bad = tmp_path / "looped.scc"
+    bad.write_text(
+        "(define-source S Int)\n"
+        "(define-context P1 Int\n  [when-provided P2 always_publish])\n"
+        "(define-context P2 Int\n  [when-provided P1 always_publish])\n"
+    )
+    code, out, err = run_cli("check", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err == (f"{bad}:2:1: PUBLISH_CYCLE: publish triggers of 'P1' form a cycle\n"
+                   f"{bad}:4:1: PUBLISH_CYCLE: publish triggers of 'P2' form a cycle\n")
+
+
 def test_check_reports_parse_errors(run_cli, tmp_path):
     bad = tmp_path / "broken.scc"
     bad.write_text("(define-source Camera Float)\n")

@@ -1,17 +1,24 @@
 """Well-formedness checks and lookups over declaration ASTs."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scckit import (
     ActionDecl,
+    CapabilityKind,
     ContextDecl,
     ControllerDecl,
     DataType,
     InteractionContract,
     KernelError,
     PublishSpec,
+    RecordingSink,
+    ScriptedSource,
     SourceDecl,
     Specification,
+    Value,
+    create_runtime,
     output_type_of,
     validate,
     webcam_spec,
@@ -95,6 +102,29 @@ def test_acyclic_get_chain_is_clean():
         ContextDecl("R1", INT, when_required(get="R0")),
     ))
     assert codes(spec) == []
+
+
+def test_publish_cycle_between_provided_contexts():
+    spec = Specification((
+        SourceDecl("S", INT),
+        ContextDecl("P1", INT, when_provided("P2", PublishSpec.ALWAYS)),
+        ContextDecl("P2", INT, when_provided("P1", PublishSpec.ALWAYS)),
+    ))
+    assert codes(spec) == ["PUBLISH_CYCLE", "PUBLISH_CYCLE"]
+    assert validate(spec)[0].message == "publish triggers of 'P1' form a cycle"
+
+
+def test_self_trigger_is_a_publish_cycle():
+    spec = Specification((ContextDecl("P", INT, when_provided("P", PublishSpec.MAYBE)),))
+    assert codes(spec) == ["PUBLISH_CYCLE"]
+
+
+def test_publish_cycle_follows_the_contexts_other_diagnostics():
+    spec = Specification((
+        ContextDecl("P1", INT, when_provided("P2", PublishSpec.ALWAYS, get="Ghost")),
+        ContextDecl("P2", INT, when_provided("P1", PublishSpec.NO)),
+    ))
+    assert codes(spec) == ["UNRESOLVED_REF", "PUBLISH_CYCLE", "BAD_PUBLISH_SPEC", "PUBLISH_CYCLE"]
 
 
 def test_context_trigger_must_be_source_or_context():
@@ -189,3 +219,119 @@ def test_name_table_first_occurrence_wins():
     spec = Specification((first, SourceDecl("S", STRING)))
     assert spec.by_name()["S"] is first
     assert spec.find("missing") is None
+    spec.by_name().clear()  # a copy: the spec's own table is untouched
+    assert spec.find("S") is first
+
+
+# -- cycles against a brute-force reachability oracle -------------------------
+
+CYCLE_NAMES = ("A", "B", "C", "D", "E")
+DEFAULTS = {INT: 0, STRING: ""}
+
+
+@st.composite
+def cycle_specs(draw):
+    """Small specs of mixed kinds. An untidy one repeats names and draws each
+    reference from every name and a dangling one; a tidy one has unique names
+    and draws references of the kind each slot accepts, so validate rejects
+    it only for a cycle or a missing kind. Either may refer to itself."""
+    tidy = draw(st.booleans())
+    names = draw(st.lists(st.sampled_from(CYCLE_NAMES), max_size=7, unique=tidy))
+    kinds = [draw(st.sampled_from(("source", "action", "required", "provided", "controller")))
+             for _ in names]
+
+    def ref(*accepted):
+        pool = [n for n, k in zip(names, kinds) if k in accepted] if tidy else names + ["Ghost"]
+        return draw(st.sampled_from(pool or ["Ghost"]))
+
+    def maybe_ref(*accepted):
+        return ref(*accepted) if draw(st.booleans()) else None
+
+    publish = st.sampled_from([PublishSpec.ALWAYS, PublishSpec.MAYBE] if tidy else list(PublishSpec))
+    decls = []
+    for name, kind in zip(names, kinds):
+        t = draw(st.sampled_from([INT, STRING]))
+        if kind == "source":
+            decls.append(SourceDecl(name, t))
+        elif kind == "action":
+            decls.append(ActionDecl(name, t))
+        elif kind == "required":
+            decls.append(ContextDecl(name, t, when_required(maybe_ref("source", "required"))))
+        elif kind == "provided":
+            trigger = ref("source", "required", "provided")
+            get = maybe_ref("source", "required")
+            decls.append(ContextDecl(name, t, InteractionContract(trigger, get, draw(publish))))
+        else:
+            decls.append(ControllerDecl(name, ref("required", "provided"), ref("action")))
+    return Specification(tuple(decls))
+
+
+def _required(d):
+    return isinstance(d, ContextDecl) and d.contract.trigger is None
+
+
+def _provided(d):
+    return isinstance(d, ContextDecl) and d.contract.trigger is not None
+
+
+def _looping_names(spec, keep, successor):
+    """Names that reach themselves in the graph whose nodes are the first kept
+    declaration of each name, by transitive closure of its edges."""
+    nodes = {}
+    for d in spec.declarations:
+        if keep(d):
+            nodes.setdefault(d.name, d)
+    reach = {(n, successor(d)) for n, d in nodes.items() if successor(d) in nodes}
+    while True:
+        grown = reach | {(a, d) for a, b in reach for c, d in reach if b == c}
+        if grown == reach:
+            return {a for a, b in reach if a == b}
+        reach = grown
+
+
+def _stub(contract):
+    """Implementation that uses every capability it is granted, then finishes."""
+    def impl(*args):
+        args = list(args)
+        if contract.activation_param is not None:
+            args.pop(0)
+        if contract.capability is not None:
+            handle = args.pop(0)
+            if contract.capability.kind is CapabilityKind.GET:
+                handle()
+            else:
+                handle(DEFAULTS[contract.capability.value_type])
+        if contract.publish is not PublishSpec.NO:
+            args[0](DEFAULTS[contract.publish_type])
+        return None if contract.result_type is None else DEFAULTS[contract.result_type]
+    return impl
+
+
+@settings(max_examples=300)
+@given(cycle_specs())
+def test_cycle_diagnostics_match_reachability_oracle(spec):
+    pulls = _looping_names(spec, _required, lambda d: d.contract.get_target)
+    publishes = _looping_names(spec, _provided, lambda d: d.contract.trigger)
+    expected = [(i, "GET_CYCLE") if _required(d) else (i, "PUBLISH_CYCLE")
+                for i, d in enumerate(spec.declarations)
+                if (_required(d) and d.name in pulls) or (_provided(d) and d.name in publishes)]
+    report = validate(spec)
+    assert [(d.index, d.code) for d in report if d.code.endswith("_CYCLE")] == expected
+    if report:
+        return
+
+    # Whatever validate accepts seals, and every emit drains to quiescence.
+    rt = create_runtime(spec)
+    for name, contract in rt.contracts.items():
+        rt.register(name, _stub(contract))
+    for d in spec.declarations:
+        if isinstance(d, SourceDecl):
+            rt.bind_source(d.name, ScriptedSource())
+            rt.set_source(d.name, Value(d.out_type, DEFAULTS[d.out_type]))
+        elif isinstance(d, ActionDecl):
+            rt.bind_action(d.name, RecordingSink())
+    rt.seal()
+    for d in spec.declarations:
+        if isinstance(d, SourceDecl):
+            rt.emit(d.name, Value(d.out_type, DEFAULTS[d.out_type]))
+    assert not rt.failed

@@ -141,16 +141,15 @@ def test_seal_names_missing_bindings():
     assert err.value.names == ("A",)
 
 
-def test_publish_cycle_rejected_at_seal():
+def test_publish_cycle_is_an_invalid_spec():
     looped = Specification((
         SourceDecl("S", INT),
         ContextDecl("P1", INT, when_provided("P2", PublishSpec.ALWAYS)),
         ContextDecl("P2", INT, when_provided("P1", PublishSpec.ALWAYS)),
     ))
-    rt, _, _ = wire(looped, {"P1": lambda v, p: p(v), "P2": lambda v, p: p(v)}, seal=False)
     with pytest.raises(KernelError) as err:
-        rt.seal()
-    assert err.value.code == "SEAL_CYCLE"
+        create_runtime(looped)
+    assert err.value.code == "INVALID_SPEC"
 
 
 # -- emission entry checks ---------------------------------------------------
@@ -416,6 +415,47 @@ def test_swallowed_fault_still_surfaces():
     with pytest.raises(RuntimeFault) as err:
         rt.emit("S", int_value(1))
     assert err.value.code == "CONTRACT_VIOLATION"
+
+
+def test_failing_trace_hook_poisons_runtime_and_drops_the_queue():
+    spec = Specification((
+        SourceDecl("S", INT),
+        ActionDecl("A", INT),
+        ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS)),
+        ContextDecl("Q", INT, when_provided("S", PublishSpec.ALWAYS)),
+        ControllerDecl("C", "P", "A"),
+    ))
+
+    def hook(event):
+        if event.kind == "activate" and event.component == "P":
+            raise OSError("trace sink closed")
+
+    rt, _, _ = wire(spec, chain_impls(Q=lambda v, publish: publish(v)))
+    rt.trace = hook
+    with pytest.raises(OSError):
+        rt.emit("S", int_value(1))
+    assert rt.failed
+    assert not rt._queue  # Q was still queued when the hook raised
+    with pytest.raises(KernelError) as err:
+        rt.emit("S", int_value(2))
+    assert err.value.code == "RUNTIME_FAILED"
+
+
+def test_delivery_is_logged_only_after_the_sink_takes_it():
+    def sink(value):
+        if value.payload > 5:
+            raise OSError("screen unplugged")
+
+    rt = create_runtime(CHAIN)
+    for name, impl in chain_impls().items():
+        rt.register(name, impl)
+    rt.bind_source("S", ScriptedSource())
+    rt.bind_action("A", sink)
+    rt.seal()
+    rt.emit("S", int_value(1))
+    with pytest.raises(RuntimeFault):
+        rt.emit("S", int_value(7))
+    assert [(target, tv.value) for target, tv in rt.action_log()] == [("A", int_value(2))]
 
 
 def test_stale_handle_after_activation_ends():
