@@ -5,6 +5,8 @@ arguments its boundary contract grants, in a fixed order — activation
 payload, resource capability (a get or do closure), then the publish /
 no-publish continuations. Publishing is a non-returning control transfer;
 taints accumulate per activation and ride along on every outgoing value.
+Each value is checked once, where untrusted code hands it in; ``seal`` proves
+that activation payload types agree with what triggers publish.
 
 A single engine instance is single-threaded. Capability and continuation
 handles die with their activation; calling one later is a fault.
@@ -15,11 +17,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .contracts import BoundaryContract, Capability, CapabilityKind, ResultKind, derive_all
+from .contracts import Capability, CapabilityKind, ResultKind, derive_all
 from .decls import (
     ActionDecl,
     ContextDecl,
     ControllerDecl,
+    DataType,
     PublishSpec,
     SourceDecl,
     Specification,
@@ -30,10 +33,8 @@ from .values import TaintedValue, Value, check_value, payload_matches
 
 
 class _ActivationEscape(BaseException):
-    """Internal control transfer raised by continuations. Never catch it."""
-
-    def __init__(self, activation):
-        self.activation = activation
+    """Internal control transfer raised by continuations, with the activation
+    it leaves as its one argument. Never catch it."""
 
 
 @dataclass
@@ -45,12 +46,11 @@ class TraceEvent:
 
 
 class _Activation:
-    __slots__ = ("component", "contract", "taints", "fired", "fault")
+    __slots__ = ("component", "taints", "fired", "fault")
 
-    def __init__(self, component: str, contract: BoundaryContract):
+    def __init__(self, component: str, taints: frozenset[str]):
         self.component = component
-        self.contract = contract
-        self.taints: set[str] = set()
+        self.taints = taints
         self.fired = False  # a continuation has taken effect
         self.fault: RuntimeFault | None = None
 
@@ -82,7 +82,10 @@ class Runtime:
                 self._subscribers.setdefault(d.contract.trigger, []).append(d.name)
             elif isinstance(d, ControllerDecl):
                 self._subscribers.setdefault(d.trigger, []).append(d.name)
-        self._queue: deque[tuple[str, TaintedValue]] = deque()
+        # per component, fixed at seal: (impl, activation type, capability, its provider or
+        # sink, publish kind, publish type, result kind, result type, subscribers)
+        self._plan: dict[str, tuple] = {}
+        self._queue: deque[tuple[str, object, frozenset[str]]] = deque()
         self._stack: list[_Activation] = []
         self._log: list[tuple[str, TaintedValue]] = []
         self._sealed = False
@@ -155,6 +158,24 @@ class Runtime:
                               "unbound resources: " + ", ".join(missing_bindings))
             err.names = tuple(missing_bindings)
             raise err
+        # Activations take payloads unchecked: prove once that each payload type is what its
+        # trigger publishes, and that pulls reach only pull-activated contexts.
+        for trigger, subscribers in self._subscribers.items():
+            c = self.contracts.get(trigger)
+            published = self._decls[trigger].out_type if c is None else c.publish_type
+            for sub in subscribers if published else ():  # a trigger that never publishes wakes no one
+                if self.contracts[sub].activation_param is not published:
+                    raise KernelError("CONTRACT_VIOLATION", f"activation value must be {published}, "
+                                      f"the type '{trigger}' publishes", component=sub)
+        for name, c in self.contracts.items():
+            target = c.capability and c.capability.target
+            if target in self.contracts and self.contracts[target].activation_param is not None:
+                raise KernelError("CONTRACT_VIOLATION", f"get target '{target}' is not pull-activated",
+                                  component=name)
+            resource = self._sources.get(target, self._actions.get(target))
+            self._plan[name] = (self._impls[name], c.activation_param, c.capability, resource,
+                                c.publish, c.publish_type, c.result, c.result_type,
+                                tuple(self._subscribers.get(name, ())))
         self._sealed = True
 
     # -- execution ---------------------------------------------------------
@@ -173,9 +194,8 @@ class Runtime:
                               "a previous activation fault poisoned this runtime; no further emits")
         provider = self._checked_source(name, v)
         provider.set(v)
-        tainted = TaintedValue(v, frozenset({name}))
-        for sub in self._subscribers.get(name, ()):
-            self._queue.append((sub, tainted))
+        taints = frozenset((name,))
+        self._queue.extend([(sub, v.payload, taints) for sub in self._subscribers.get(name, ())])
         self._drain()
 
     def _checked_source(self, name: str, v: Value):
@@ -200,45 +220,35 @@ class Runtime:
     def _drain(self):
         try:
             while self._queue:
-                component, tainted = self._queue.popleft()
-                self._activate(component, tainted)
+                self._activate(*self._queue.popleft())
         except BaseException:
             self._failed = True
             self._queue.clear()
             raise
 
-    def _trace(self, event: TraceEvent):
-        if self.trace is not None:
-            self.trace(event)
-
-    def _activate(self, component: str, tainted: TaintedValue | None) -> TaintedValue | None:
-        """Run one activation; returns the tainted result for pull-activated contexts."""
-        contract = self.contracts[component]
-        act = _Activation(component, contract)
-        args = []
-        if contract.activation_param is not None:
-            if tainted is None or not check_value(tainted.value, contract.activation_param):
-                raise RuntimeFault("CONTRACT_VIOLATION",
-                                   f"activation value must be {contract.activation_param}, "
-                                   f"got {_describe(tainted and tainted.value)}", component=component)
-            act.taints |= tainted.taints
-            args.append(tainted.value.payload)
-        self._trace(TraceEvent("activate", component, tainted))
-        if contract.capability is not None:
-            args.append(self._make_capability_handle(act, contract.capability))
-        if contract.publish is not PublishSpec.NO:
-            args.append(self._make_publish_handle(act))
-            if contract.publish is PublishSpec.MAYBE:
-                args.append(self._make_nopublish_handle(act))
+    def _activate(self, component: str, payload, taints: frozenset[str]):
+        """Run one activation; a pull-activated context returns ``(payload, taints)``."""
+        impl, param, cap, resource, publish, publish_type, result, result_type, subscribers = \
+            self._plan[component]
+        act = _Activation(component, taints)
+        trace = self.trace
+        if trace is not None:
+            trace(TraceEvent("activate", component,
+                             None if param is None else TaintedValue(Value(param, payload), taints)))
+        args = [] if param is None else [payload]
+        if cap is not None:
+            args.append(self._make_capability_handle(act, cap, resource))
+        if publish is not PublishSpec.NO:
+            args += self._make_continuations(act, publish_type, subscribers, publish is PublishSpec.MAYBE)
 
         self._stack.append(act)
         try:
             try:
-                result = self._impls[component](*args)
+                returned = impl(*args)
             except _ActivationEscape as esc:
-                if esc.activation is not act:  # foreign escape: never ours to absorb
+                if esc.args[0] is not act:  # foreign escape: never ours to absorb
                     raise
-                result = None
+                returned = None
             except RuntimeFault as fault:
                 if act.fault is None:
                     act.fault = fault
@@ -254,23 +264,23 @@ class Runtime:
 
         if act.fault is not None:  # a fault the implementation swallowed
             raise act.fault
-        if contract.result is ResultKind.NO_RETURN:
+        if result is ResultKind.NO_RETURN:
             if not act.fired:
                 raise RuntimeFault("NO_CONTINUATION_CALLED",
                                    "implementation finished without publish or nopublish",
                                    component=component)
             return None
-        if contract.result is ResultKind.RETURNS_NOTHING:
-            if result is not None:
+        if result is ResultKind.RETURNS_NOTHING:
+            if returned is not None:
                 raise RuntimeFault("CONTRACT_VIOLATION",
-                                   f"controller returned a value ({result!r}) but must not",
+                                   f"controller returned a value ({returned!r}) but must not",
                                    component=component)
             return None
-        if not payload_matches(contract.result_type, result):
+        if not payload_matches(result_type, returned):
             raise RuntimeFault("CONTRACT_VIOLATION",
-                               f"returned value must be {contract.result_type}, got {result!r}",
+                               f"returned value must be {result_type}, got {returned!r}",
                                component=component)
-        return TaintedValue(Value(contract.result_type, result), frozenset(act.taints))
+        return returned, act.taints
 
     # -- handles -----------------------------------------------------------
 
@@ -287,24 +297,45 @@ class Runtime:
         if act.fault is not None:
             raise act.fault
 
-    def _fault(self, act: _Activation, code: str, detail: str) -> RuntimeFault:
-        fault = RuntimeFault(code, detail, component=act.component)
+    def _fault(self, act: _Activation, code: str, detail: str, component: str | None = None):
+        fault = RuntimeFault(code, detail, component=component or act.component)
         if act.fault is None:
             act.fault = fault
         return fault
 
-    def _make_capability_handle(self, act: _Activation, cap: Capability):
+    def _make_capability_handle(self, act: _Activation, cap: Capability, resource):
         if cap.kind is CapabilityKind.GET:
             def pull():
                 self._guard(act)
-                try:
-                    tainted = self._resolve_pull(act, cap)
-                except RuntimeFault as fault:
-                    if act.fault is None:
-                        act.fault = fault
-                    raise
-                act.taints |= tainted.taints
-                return tainted.value.payload
+                v = None
+                if resource is None:  # a pull-activated context
+                    try:
+                        payload, taints = self._activate(cap.target, None, frozenset())
+                    except RuntimeFault as fault:
+                        if act.fault is None:
+                            act.fault = fault
+                        raise
+                else:
+                    try:
+                        v = resource.current()
+                    except Exception as exc:
+                        raise self._fault(act, "PLATFORM_FAULT",
+                                          f"provider raised {type(exc).__name__}: {exc}",
+                                          cap.target) from exc
+                    if v is None:
+                        raise self._fault(act, "PULL_BEFORE_VALUE",
+                                          f"source '{cap.target}' pulled before any value was set")
+                    if not check_value(v, cap.value_type):
+                        raise self._fault(act, "TYPE_MISMATCH",
+                                          f"provider for '{cap.target}' answered with {_describe(v)}, "
+                                          f"expected {cap.value_type}")
+                    payload, taints = v.payload, frozenset((cap.target,))
+                trace = self.trace
+                if trace is not None:
+                    v = Value(cap.value_type, payload) if v is None else v
+                    trace(TraceEvent("pull", act.component, TaintedValue(v, taints), target=cap.target))
+                act.taints |= taints
+                return payload
             return pull
 
         def send(payload):
@@ -313,54 +344,36 @@ class Runtime:
                 raise self._fault(act, "CONTRACT_VIOLATION",
                                   f"value sent to '{cap.target}' must be {cap.value_type}, "
                                   f"got {payload!r}")
-            tainted = TaintedValue(Value(cap.value_type, payload), frozenset(act.taints))
-            self._actions[cap.target](tainted.value)
-            self._log.append((cap.target, tainted))
+            v = Value(cap.value_type, payload)
+            try:
+                resource(v)
+            except Exception as exc:
+                raise self._fault(act, "PLATFORM_FAULT",
+                                  f"sink raised {type(exc).__name__}: {exc}", cap.target) from exc
+            self._log.append((cap.target, TaintedValue(v, act.taints)))
         return send
 
-    def _resolve_pull(self, act: _Activation, cap: Capability) -> TaintedValue:
-        decl = self._decls[cap.target]
-        if isinstance(decl, SourceDecl):
-            v = self._sources[cap.target].current()
-            if v is None:
-                raise self._fault(act, "PULL_BEFORE_VALUE",
-                                  f"source '{cap.target}' pulled before any value was set")
-            if not check_value(v, decl.out_type):
-                raise self._fault(act, "TYPE_MISMATCH",
-                                  f"provider for '{cap.target}' answered with {_describe(v)}, "
-                                  f"expected {decl.out_type}")
-            tainted = TaintedValue(v, frozenset({cap.target}))
-        else:
-            tainted = self._activate(cap.target, None)
-        self._trace(TraceEvent("pull", act.component, tainted, target=cap.target))
-        return tainted
+    def _fire(self, act: _Activation):
+        self._guard(act)
+        if act.fired:
+            raise self._fault(act, "DOUBLE_CONTINUATION",
+                              "a continuation was already invoked in this activation")
+        act.fired = True
 
-    def _make_publish_handle(self, act: _Activation):
+    def _make_continuations(self, act: _Activation, publish_type: DataType, subscribers: tuple[str, ...],
+                            maybe: bool) -> tuple:
         def publish(payload):
-            self._guard(act)
-            if act.fired:
-                raise self._fault(act, "DOUBLE_CONTINUATION",
-                                  "a continuation was already invoked in this activation")
-            if not payload_matches(act.contract.publish_type, payload):
+            self._fire(act)
+            if not payload_matches(publish_type, payload):
                 raise self._fault(act, "CONTRACT_VIOLATION",
-                                  f"published value must be {act.contract.publish_type}, "
-                                  f"got {payload!r}")
-            tainted = TaintedValue(Value(act.contract.publish_type, payload), frozenset(act.taints))
-            act.fired = True
-            for sub in self._subscribers.get(act.component, ()):
-                self._queue.append((sub, tainted))
+                                  f"published value must be {publish_type}, got {payload!r}")
+            self._queue.extend([(sub, payload, act.taints) for sub in subscribers])
             raise _ActivationEscape(act)
-        return publish
 
-    def _make_nopublish_handle(self, act: _Activation):
         def nopublish():
-            self._guard(act)
-            if act.fired:
-                raise self._fault(act, "DOUBLE_CONTINUATION",
-                                  "a continuation was already invoked in this activation")
-            act.fired = True
+            self._fire(act)
             raise _ActivationEscape(act)
-        return nopublish
+        return (publish, nopublish) if maybe else (publish,)
 
 
 def create_runtime(spec: Specification) -> Runtime:

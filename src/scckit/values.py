@@ -7,7 +7,7 @@ runtime ever inspects, so nothing is actually rendered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .decls import DataType
 from .errors import KernelError
@@ -53,7 +53,7 @@ def make_picture(width: int, height: int, seed: int) -> Value:
 
 def overlay(pic: PictureData, text: str) -> PictureData:
     """Copy of ``pic`` with ``text`` drawn on top; the original is untouched."""
-    return replace(pic, overlays=pic.overlays + (text,))
+    return PictureData(pic.width, pic.height, pic.seed, pic.overlays + (text,))
 
 
 def payload_matches(tag: DataType, payload: object) -> bool:

@@ -118,7 +118,14 @@ def _controller_impl(rng, action_t):
     return impl
 
 
-def random_app(seed: int) -> GeneratedApp:
+def _keep(kind: str, name: str, obj):
+    return obj
+
+
+def random_app(seed: int, wrap=_keep) -> GeneratedApp:
+    """Generate, wire and seal an app. ``wrap(kind, name, obj)`` may replace
+    each implementation, provider and sink (kinds "implementation",
+    "provider", "sink") before it is registered or bound."""
     rng = random.Random(seed)
     decls: list = []
     impls: dict = {}
@@ -155,13 +162,13 @@ def random_app(seed: int) -> GeneratedApp:
     spec = Specification(tuple(decls))
     rt = create_runtime(spec)
     for impl_name, impl in impls.items():
-        rt.register(impl_name, impl)
+        rt.register(impl_name, wrap("implementation", impl_name, impl))
     providers = {n: ScriptedSource() for n, _ in sources}
     sinks = {n: RecordingSink() for n, _ in actions}
     for n, provider in providers.items():
-        rt.bind_source(n, provider)
+        rt.bind_source(n, wrap("provider", n, provider))
     for n, sink in sinks.items():
-        rt.bind_action(n, sink)
+        rt.bind_action(n, wrap("sink", n, sink))
     rt.seal()
     return GeneratedApp(spec, rt, providers, sinks, dict(sources))
 

@@ -150,6 +150,14 @@ def test_demo_trace_shows_activations_and_pulls(run_cli):
     assert lines[-1] == FROZEN_DEMO_LINE.rstrip("\n")
 
 
+def test_demo_trace_matches_golden(run_cli, golden_dir):
+    # The script covers an empty ad (frame withheld), a set ad, and an
+    # emitted ad that has no subscriber but changes what later pulls see.
+    code, out, err = run_cli("demo", "--trace", "--scenario", str(golden_dir / "webcam_trace.scn"))
+    assert (code, err) == (0, "")
+    assert out == (golden_dir / "webcam_trace.txt").read_text(encoding="utf-8")
+
+
 def test_cli_output_is_byte_deterministic(run_cli, webcam_scc):
     for argv in (("check", str(webcam_scc), "--contracts"),
                  ("graph", str(webcam_scc), "--format", "json"),

@@ -1,16 +1,21 @@
 """Engine semantics: registry, sealing, dispatch, contracts, taints, handles."""
 
+import dataclasses
 import inspect
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genspec
+import scckit.runtime
 from scckit import (
     ActionDecl,
     ContextDecl,
     ControllerDecl,
     DataType,
     KernelError,
+    PictureData,
     PublishSpec,
     RecordingSink,
     RuntimeFault,
@@ -18,7 +23,12 @@ from scckit import (
     SourceDecl,
     Specification,
     Value,
+    build_flow_graph,
+    build_webcam_app,
     create_runtime,
+    parse_scenario,
+    run_scenario,
+    source_ancestors,
     webcam_spec,
     when_provided,
     when_required,
@@ -139,6 +149,30 @@ def test_seal_names_missing_bindings():
         rt.seal()
     assert err.value.code == "MISSING_BINDING"
     assert err.value.names == ("A",)
+
+
+def test_seal_checks_activation_types_once():
+    # Activations take their payloads unchecked, so seal must refuse a plan
+    # whose payload types disagree with what the triggers publish.
+    rt, _, _ = wire(CHAIN, chain_impls(), seal=False)
+    rt.contracts["C"] = dataclasses.replace(rt.contracts["C"], activation_param=STRING)
+    with pytest.raises(KernelError) as err:
+        rt.seal()
+    assert (err.value.code, err.value.component) == ("CONTRACT_VIOLATION", "C")
+    assert str(err.value) == "CONTRACT_VIOLATION [C]: activation value must be Int, the type 'P' publishes"
+    assert not rt.sealed
+
+    pulled = Specification((
+        SourceDecl("S", INT),
+        ContextDecl("R", INT, when_required()),
+        ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="R")),
+    ))
+    rt, _, _ = wire(pulled, {"R": lambda: 1, "P": lambda v, get, pub: pub(get())}, seal=False)
+    rt.contracts["R"] = dataclasses.replace(rt.contracts["R"], activation_param=INT)
+    with pytest.raises(KernelError) as err:
+        rt.seal()
+    assert (err.value.code, err.value.component) == ("CONTRACT_VIOLATION", "P")
+    assert not rt.sealed
 
 
 def test_publish_cycle_is_an_invalid_spec():
@@ -458,6 +492,70 @@ def test_delivery_is_logged_only_after_the_sink_takes_it():
     assert [(target, tv.value) for target, tv in rt.action_log()] == [("A", int_value(2))]
 
 
+@pytest.mark.parametrize("swallow", [False, True])
+def test_failing_sink_is_a_platform_fault_of_its_action(swallow):
+    def sink(value):
+        raise OSError("screen unplugged")
+
+    def controller(v, do):
+        try:
+            do(v)
+        except Exception:
+            if not swallow:
+                raise
+
+    rt = create_runtime(CHAIN)
+    for name, impl in chain_impls(C=controller).items():
+        rt.register(name, impl)
+    rt.bind_source("S", ScriptedSource())
+    rt.bind_action("A", sink)
+    rt.seal()
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(1))
+    assert str(err.value) == "PLATFORM_FAULT [A]: sink raised OSError: screen unplugged"
+    assert isinstance(err.value.__cause__, OSError)
+    assert rt.failed and rt.action_log() == ()
+
+
+@pytest.mark.parametrize("swallow", [False, True])
+def test_failing_provider_is_a_platform_fault_of_its_source(swallow):
+    class Offline:
+        def set(self, v):
+            pass
+
+        def current(self):
+            raise OSError("sensor offline")
+
+    spec = Specification((
+        SourceDecl("S", INT),
+        SourceDecl("T", INT),
+        ActionDecl("A", INT),
+        ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="T")),
+        ControllerDecl("C", "P", "A"),
+    ))
+
+    def puller(v, get, publish):
+        try:
+            v += get()
+        except Exception:
+            if not swallow:
+                raise
+        publish(v)
+
+    rt = create_runtime(spec)
+    rt.register("P", puller)
+    rt.register("C", lambda v, do: do(v))
+    rt.bind_source("S", ScriptedSource())
+    rt.bind_source("T", Offline())
+    rt.bind_action("A", RecordingSink())
+    rt.seal()
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(1))
+    assert str(err.value) == "PLATFORM_FAULT [T]: provider raised OSError: sensor offline"
+    assert isinstance(err.value.__cause__, OSError)
+    assert rt.failed and not rt._queue and rt.action_log() == ()
+
+
 def test_stale_handle_after_activation_ends():
     stash = []
 
@@ -517,3 +615,97 @@ def test_source_emissions_carry_their_own_taint():
     first = events[0]
     assert first.kind == "activate" and first.component == "P"
     assert first.value.taints == {"S"}
+
+
+class _Injected(Exception):
+    pass
+
+
+class _Injector:
+    """Wraps every implementation, provider and sink of a generated app, and
+    raises from one chosen culprit on its ``at``-th call."""
+
+    def __init__(self, pick: int, at: int):
+        self.pick, self.at = pick, at
+        self.wrapped: list[tuple[str, str]] = []
+        self.calls = 0
+
+    @property
+    def culprit(self) -> tuple[str, str]:
+        return self.wrapped[self.pick % len(self.wrapped)]
+
+    def _tick(self, kind, name):
+        if (kind, name) == self.culprit:
+            self.calls += 1
+            if self.calls == self.at:
+                raise _Injected(f"{kind} {name} fails on call {self.at}")
+
+    def wrap(self, kind, name, obj):
+        self.wrapped.append((kind, name))
+        tick = self._tick
+        if kind == "provider":
+            class Provider:
+                set = staticmethod(obj.set)
+
+                @staticmethod
+                def current():
+                    tick(kind, name)
+                    return obj.current()
+            return Provider()
+
+        def call(*args):
+            tick(kind, name)
+            return obj(*args)
+        return call
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), pick=st.integers(0, 50), at=st.integers(1, 12))
+def test_injected_faults_poison_the_runtime_and_blame_the_culprit(seed, pick, at):
+    injector = _Injector(pick, at)
+    app = genspec.random_app(seed, wrap=injector.wrap)
+    try:
+        genspec.drive(app, seed)
+    except RuntimeFault as fault:
+        kind, name = injector.culprit
+        assert injector.calls == at
+        assert isinstance(fault.__cause__, _Injected)
+        code = "IMPLEMENTATION_PANIC" if kind == "implementation" else "PLATFORM_FAULT"
+        assert (fault.code, fault.component) == (code, name)
+        assert app.runtime.failed and not app.runtime._queue
+    else:
+        assert injector.calls < at and not app.runtime.failed
+    graph = build_flow_graph(app.spec)
+    for target, tv in app.runtime.action_log():
+        assert tv.taints <= source_ancestors(graph, target)
+
+
+# -- tracing -------------------------------------------------------------------
+
+TRACE_SCRIPT = 'set IP ""\nemit Camera picture(8x6,seed=1)\nset IP "Ads"\nemit Camera picture(8x6,seed=2)\n'
+
+
+def test_untraced_emit_builds_no_trace_event(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trace event was built with no hook attached")
+
+    app = build_webcam_app()
+    monkeypatch.setattr(scckit.runtime, "TraceEvent", refuse)
+    run_scenario(app.runtime, parse_scenario(TRACE_SCRIPT))
+    assert len(app.screen.deliveries) == 1
+
+
+def test_hook_attached_after_seal_sees_what_a_hook_given_at_build_sees():
+    at_build, after_seal = [], []
+    first = build_webcam_app(trace=at_build.append)
+    second = build_webcam_app()
+    second.runtime.trace = after_seal.append
+    for app in (first, second):
+        run_scenario(app.runtime, parse_scenario(TRACE_SCRIPT))
+    assert after_seal == at_build
+    assert {(ev.kind, ev.component) for ev in at_build} == {
+        ("activate", "ProcessPicture"), ("activate", "ComposeDisplay"), ("activate", "MakeAd"),
+        ("activate", "Display"), ("pull", "MakeAd"), ("pull", "ComposeDisplay")}
+    display = [ev for ev in at_build if ev.component == "Display"]
+    assert display[0].value.value == Value(DataType.PICTURE, PictureData(8, 6, 2, ("Ads",)))
+    assert display[0].value.taints == {"Camera", "IP"}
