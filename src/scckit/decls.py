@@ -17,6 +17,12 @@ from .errors import KernelError
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# Most when-required contexts one get chain may activate, nested one inside the
+# next. Each level costs the interpreter about 3 frames (handle, activation,
+# implementation), so the bound keeps every pull far below the default
+# recursion limit of 1,000, with room for tracing wrappers around each level.
+MAX_PULL_DEPTH = 100
+
 
 class DataType(Enum):
     BOOL = "Bool"
@@ -168,13 +174,20 @@ def validate(spec: Specification) -> list[Diagnostic]:
         elif isinstance(decl, ControllerDecl):
             diags.extend(_check_controller(i, decl, table))
 
-    pulls = _cycle_members(spec, _is_required_context, lambda d: d.contract.get_target)
-    publishes = _cycle_members(spec, _is_provided_context, lambda d: d.contract.trigger)
+    pulls, depths = _chains(spec, _is_required_context, lambda d: d.contract.get_target)
+    publishes, _ = _chains(spec, _is_provided_context, lambda d: d.contract.trigger)
     for i, decl in enumerate(spec.declarations):
         if decl.name in pulls and _is_required_context(decl):
             diags.append(Diagnostic(i, "GET_CYCLE", f"get dependencies of '{decl.name}' form a cycle"))
         elif decl.name in publishes and _is_provided_context(decl):
             diags.append(Diagnostic(i, "PUBLISH_CYCLE", f"publish triggers of '{decl.name}' form a cycle"))
+    # A chain over the limit needs more measured contexts than the limit. A pull of a
+    # context nests every when-required context on its target's chain.
+    for i, decl in enumerate(spec.declarations if len(depths) > MAX_PULL_DEPTH else ()):
+        depth = depths.get(decl.contract.get_target, 0) if isinstance(decl, ContextDecl) else 0
+        if depth > MAX_PULL_DEPTH:
+            diags.append(Diagnostic(i, "PULL_TOO_DEEP", f"get chain of '{decl.name}' nests {depth} "
+                                    f"when-required contexts; the limit is {MAX_PULL_DEPTH}"))
 
     diags.sort(key=lambda d: d.index)
     return diags
@@ -229,11 +242,13 @@ def _check_controller(i: int, decl: ControllerDecl, table: dict[str, Declaration
     return out
 
 
-def _cycle_members(spec: Specification, keep, successor) -> set[str]:
-    """Names on a cycle of the graph over the kept declarations.
+def _chains(spec: Specification, keep, successor) -> tuple[set[str], dict[str, int]]:
+    """Cycles and chain lengths of the graph over the kept declarations.
 
     The first kept declaration of each name is its node, and a node's only
     edge leads to ``successor(decl)`` when that names a node, itself
+    included. Returns the names on a cycle, and for every node whose chain
+    ends without entering one, the number of nodes on that chain, itself
     included. With at most one successor per node, a walk from each node
     that stops at the first node already walked visits every node once:
     linear time.
@@ -243,8 +258,11 @@ def _cycle_members(spec: Specification, keep, successor) -> set[str]:
         if keep(decl):
             nodes.setdefault(decl.name, decl)
     members: set[str] = set()
+    lengths: dict[str, int] = {}
     walked: set[str] = set()
     for name in nodes:
+        if name in walked:
+            continue
         path: dict[str, int] = {}  # this walk's nodes, in order
         while name in nodes and name not in walked:
             walked.add(name)
@@ -252,4 +270,9 @@ def _cycle_members(spec: Specification, keep, successor) -> set[str]:
             name = successor(nodes[name])
         if name in path:  # the walk closed a loop of its own
             members.update(list(path)[path[name]:])
-    return members
+        elif name not in walked or name in lengths:  # the chain ends, or joins one already measured
+            length = lengths.get(name, 0)
+            for step in reversed(path):
+                length += 1
+                lengths[step] = length
+    return members, lengths

@@ -173,6 +173,19 @@ def random_app(seed: int, wrap=_keep) -> GeneratedApp:
     return GeneratedApp(spec, rt, providers, sinks, dict(sources))
 
 
+def pull_chain(depth: int) -> Specification:
+    """One when-provided context P on source S whose get chain R1 -> ... -> R<depth>
+    -> S nests ``depth`` when-required contexts; controller C sends P's value to A."""
+    return Specification((
+        SourceDecl("S", DataType.INT),
+        ActionDecl("A", DataType.INT),
+        *(ContextDecl(f"R{i}", DataType.INT, when_required(f"R{i + 1}" if i < depth else "S"))
+          for i in range(1, depth + 1)),
+        ContextDecl("P", DataType.INT, when_provided("S", PublishSpec.ALWAYS, "R1")),
+        ControllerDecl("C", "P", "A"),
+    ))
+
+
 def drive(app: GeneratedApp, seed: int, emissions: int = 20) -> None:
     """Pre-set every source, then emit a deterministic random sequence."""
     rng = random.Random(seed ^ 0x5EED)

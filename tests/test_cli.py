@@ -2,6 +2,10 @@
 
 import pytest
 
+import genspec
+from scckit import pretty_print
+from scckit.decls import MAX_PULL_DEPTH
+
 FROZEN_DEMO_LINE = 'Screen <- picture(640x480,seed=7,overlays=["Ads Inc"]) taints={Camera,IP}\n'
 
 
@@ -49,6 +53,18 @@ def test_check_rejects_publish_cycles(run_cli, tmp_path):
     assert out == ""
     assert err == (f"{bad}:2:1: PUBLISH_CYCLE: publish triggers of 'P1' form a cycle\n"
                    f"{bad}:4:1: PUBLISH_CYCLE: publish triggers of 'P2' form a cycle\n")
+
+
+def test_check_rejects_pull_chains_over_the_depth_limit(run_cli, tmp_path):
+    deep = tmp_path / "deep.scc"
+    deep.write_text(pretty_print(genspec.pull_chain(MAX_PULL_DEPTH + 1)).content)
+    code, out, err = run_cli("check", str(deep))
+    assert code == 1
+    assert out == ""
+    assert err == (f"{deep}:{MAX_PULL_DEPTH + 4}:1: PULL_TOO_DEEP: get chain of 'P' nests "
+                   f"{MAX_PULL_DEPTH + 1} when-required contexts; the limit is {MAX_PULL_DEPTH}\n")
+    deep.write_text(pretty_print(genspec.pull_chain(MAX_PULL_DEPTH)).content)
+    assert run_cli("check", str(deep)) == (0, "", "")
 
 
 def test_check_reports_parse_errors(run_cli, tmp_path):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import genspec
+import scckit.decls
 from scckit import (
     ActionDecl,
     CapabilityKind,
@@ -25,6 +27,7 @@ from scckit import (
     when_provided,
     when_required,
 )
+from scckit.decls import MAX_PULL_DEPTH
 
 PICTURE, STRING, INT = DataType.PICTURE, DataType.STRING, DataType.INT
 
@@ -102,6 +105,32 @@ def test_acyclic_get_chain_is_clean():
         ContextDecl("R1", INT, when_required(get="R0")),
     ))
     assert codes(spec) == []
+
+
+def test_pull_depth_is_bounded():
+    assert codes(genspec.pull_chain(MAX_PULL_DEPTH)) == []
+    (too_deep,) = validate(genspec.pull_chain(MAX_PULL_DEPTH + 1))
+    assert (too_deep.index, too_deep.code) == (MAX_PULL_DEPTH + 3, "PULL_TOO_DEEP")
+    assert too_deep.message == "get chain of 'P' nests 101 when-required contexts; the limit is 100"
+    # one level more and the first pulled context's own chain is over the limit too
+    assert [(d.index, d.code) for d in validate(genspec.pull_chain(MAX_PULL_DEPTH + 2))] == [
+        (2, "PULL_TOO_DEEP"), (MAX_PULL_DEPTH + 4, "PULL_TOO_DEEP")]
+    # declared deepest first, each walk measures one context and joins the chain measured before
+    backwards = Specification(tuple(reversed(genspec.pull_chain(MAX_PULL_DEPTH + 1).declarations)))
+    assert [(d.index, d.code) for d in validate(backwards)] == [(1, "PULL_TOO_DEEP")]
+    with pytest.raises(KernelError) as err:
+        create_runtime(genspec.pull_chain(MAX_PULL_DEPTH + 1))
+    assert err.value.code == "INVALID_SPEC"
+
+
+def test_pull_depth_follows_the_contexts_other_diagnostics_and_skips_cycles():
+    chain = genspec.pull_chain(MAX_PULL_DEPTH + 1).declarations
+    ghost = ContextDecl("P", INT, when_provided("Ghost", PublishSpec.ALWAYS, get="R1"))
+    assert codes(Specification(chain[:-2] + (ghost,))) == ["UNRESOLVED_REF", "PULL_TOO_DEEP"]
+    # a long chain that runs into a cycle has no depth: only the cycle is reported
+    loop = ContextDecl("Loop", INT, when_required(get="Loop"))
+    into_loop = chain[:-3] + (ContextDecl(f"R{MAX_PULL_DEPTH + 1}", INT, when_required(get="Loop")),)
+    assert codes(Specification((loop,) + into_loop + chain[-2:])) == ["GET_CYCLE"]
 
 
 def test_publish_cycle_between_provided_contexts():
@@ -335,3 +364,37 @@ def test_cycle_diagnostics_match_reachability_oracle(spec):
         if isinstance(d, SourceDecl):
             rt.emit(d.name, Value(d.out_type, DEFAULTS[d.out_type]))
     assert not rt.failed
+
+
+def _naive_pull_depth(spec, name):
+    """When-required contexts one pull of ``name`` activates, found by
+    following get targets one by one; None when the chain enters a cycle."""
+    nodes = {}
+    for d in spec.declarations:
+        if _required(d):
+            nodes.setdefault(d.name, d)
+    seen = []
+    while name in nodes:
+        if name in seen:
+            return None
+        seen.append(name)
+        name = nodes[name].contract.get_target
+    return len(seen)
+
+
+@settings(max_examples=300)
+@given(cycle_specs(), st.integers(0, 3))
+def test_pull_depth_diagnostics_match_a_naive_walk(spec, limit):
+    saved = scckit.decls.MAX_PULL_DEPTH
+    scckit.decls.MAX_PULL_DEPTH = limit  # small, so that small specs reach it
+    try:
+        report = validate(spec)
+    finally:
+        scckit.decls.MAX_PULL_DEPTH = saved
+    expected = []
+    for i, d in enumerate(spec.declarations):
+        depth = _naive_pull_depth(spec, d.contract.get_target) if isinstance(d, ContextDecl) else None
+        if depth is not None and depth > limit:
+            expected.append((i, f"get chain of '{d.name}' nests {depth} when-required contexts; "
+                                f"the limit is {limit}"))
+    assert [(d.index, d.message) for d in report if d.code == "PULL_TOO_DEEP"] == expected

@@ -33,6 +33,7 @@ from scckit import (
     when_provided,
     when_required,
 )
+from scckit.decls import MAX_PULL_DEPTH
 
 INT, STRING = DataType.INT, DataType.STRING
 
@@ -302,6 +303,20 @@ def test_pull_before_value_names_the_puller():
     assert err.value.component == "P"
 
 
+def test_deepest_valid_pull_chain_runs_with_a_hook_attached():
+    spec = genspec.pull_chain(MAX_PULL_DEPTH)
+    impls = {f"R{i}": lambda get: get() + 1 for i in range(1, MAX_PULL_DEPTH + 1)}
+    impls.update(P=lambda v, get, publish: publish(get()), C=lambda v, do: do(v))
+    rt, _, sinks = wire(spec, impls)
+    events = []
+    rt.trace = events.append
+    rt.set_source("S", int_value(0))
+    rt.emit("S", int_value(0))
+    assert sinks["A"].deliveries == [int_value(MAX_PULL_DEPTH)]
+    assert rt.action_log()[0][1].taints == {"S"}
+    assert [ev.kind for ev in events].count("pull") == MAX_PULL_DEPTH + 1
+
+
 def test_get_capability_takes_no_arguments():
     grabbed = []
     spec = Specification((
@@ -466,8 +481,10 @@ def test_failing_trace_hook_poisons_runtime_and_drops_the_queue():
 
     rt, _, _ = wire(spec, chain_impls(Q=lambda v, publish: publish(v)))
     rt.trace = hook
-    with pytest.raises(OSError):
+    with pytest.raises(RuntimeFault) as err:
         rt.emit("S", int_value(1))
+    assert str(err.value) == "HOOK_FAULT [P]: trace hook raised OSError: trace sink closed"
+    assert isinstance(err.value.__cause__, OSError)
     assert rt.failed
     assert not rt._queue  # Q was still queued when the hook raised
     with pytest.raises(KernelError) as err:
@@ -556,6 +573,101 @@ def test_failing_provider_is_a_platform_fault_of_its_source(swallow):
     assert rt.failed and not rt._queue and rt.action_log() == ()
 
 
+class _Unplugged(ScriptedSource):
+    def set(self, v):
+        raise OSError("camera gone")
+
+
+@pytest.mark.parametrize("during_emit", [True, False])
+def test_failing_provider_set_is_a_platform_fault_of_its_source(during_emit):
+    rt = create_runtime(CHAIN)
+    for name, impl in chain_impls().items():
+        rt.register(name, impl)
+    rt.bind_source("S", _Unplugged())
+    rt.bind_action("A", RecordingSink())
+    rt.seal()
+    with pytest.raises(RuntimeFault) as err:
+        (rt.emit if during_emit else rt.set_source)("S", int_value(1))
+    assert str(err.value) == "PLATFORM_FAULT [S]: provider raised OSError: camera gone"
+    assert isinstance(err.value.__cause__, OSError)
+    assert rt.failed is during_emit  # set_source runs outside any drain
+    assert not rt._queue and rt.action_log() == ()
+
+
+def test_binding_none_is_rejected():
+    rt = create_runtime(CHAIN)
+    for bind, name in ((rt.bind_source, "S"), (rt.bind_action, "A")):
+        with pytest.raises(KernelError) as err:
+            bind(name, None)
+        assert str(err.value) == f"MISSING_BINDING: '{name}' cannot be bound to None"
+    rt.bind_source("S", ScriptedSource())  # the refused binding left the name free
+
+
+def test_forged_fault_is_the_implementations_own_panic():
+    forged = RuntimeFault("PLATFORM_FAULT", "provider raised OSError: no", component="S")
+
+    def liar(v, publish):
+        raise forged
+
+    rt, _, _ = wire(CHAIN, chain_impls(P=liar))
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(1))
+    assert (err.value.code, err.value.component) == ("IMPLEMENTATION_PANIC", "P")
+    assert err.value.__cause__ is forged
+    assert rt.failed
+
+
+def test_provider_answer_of_wrong_type_blames_the_puller():
+    spec = Specification((
+        SourceDecl("S", INT),
+        SourceDecl("T", INT),
+        ActionDecl("A", INT),
+        ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="T")),
+        ControllerDecl("C", "P", "A"),
+    ))
+    rt, sources, _ = wire(spec, {"P": lambda v, get, pub: pub(get()), "C": lambda v, do: do(v)})
+    sources["T"].set(Value(STRING, "x"))  # behind the kernel's back: the provider is platform code
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(1))
+    assert str(err.value) == "TYPE_MISMATCH [P]: provider for 'T' answered with String 'x', expected Int"
+    assert rt.failed
+
+
+PULLED = Specification((
+    SourceDecl("S", INT),
+    SourceDecl("T", INT),
+    ActionDecl("A", INT),
+    ContextDecl("R", INT, when_required(get="T")),
+    ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="R")),
+    ControllerDecl("C", "P", "A"),
+))
+
+
+@pytest.mark.parametrize("swallow", [False, True])
+@pytest.mark.parametrize("kind, component", [("activate", "R"), ("pull", "R"), ("pull", "P")])
+def test_failing_hook_is_a_hook_fault_of_the_event_component(kind, component, swallow):
+    def hook(event):
+        if (event.kind, event.component) == (kind, component):
+            raise OSError("hook down")
+
+    def puller(v, get, publish):
+        try:
+            v = get()
+        except Exception:
+            if not swallow:
+                raise
+        publish(v)
+
+    rt, sources, sinks = wire(PULLED, {"R": lambda get: get(), "P": puller, "C": lambda v, do: do(v)})
+    rt.set_source("T", int_value(5))
+    rt.trace = hook
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(1))
+    assert str(err.value) == f"HOOK_FAULT [{component}]: trace hook raised OSError: hook down"
+    assert isinstance(err.value.__cause__, OSError)
+    assert rt.failed and not rt._queue and sinks["A"].deliveries == []
+
+
 def test_stale_handle_after_activation_ends():
     stash = []
 
@@ -623,21 +735,23 @@ class _Injected(Exception):
 
 class _Injector:
     """Wraps every implementation, provider and sink of a generated app, and
-    raises from one chosen culprit on its ``at``-th call."""
+    its trace hook, and raises from one chosen culprit on its ``at``-th call."""
 
     def __init__(self, pick: int, at: int):
         self.pick, self.at = pick, at
         self.wrapped: list[tuple[str, str]] = []
         self.calls = 0
+        self.blamed = None  # the component the raising call was made for
 
     @property
     def culprit(self) -> tuple[str, str]:
         return self.wrapped[self.pick % len(self.wrapped)]
 
-    def _tick(self, kind, name):
+    def _tick(self, kind, name, blamed):
         if (kind, name) == self.culprit:
             self.calls += 1
             if self.calls == self.at:
+                self.blamed = blamed
                 raise _Injected(f"{kind} {name} fails on call {self.at}")
 
     def wrap(self, kind, name, obj):
@@ -645,18 +759,25 @@ class _Injector:
         tick = self._tick
         if kind == "provider":
             class Provider:
-                set = staticmethod(obj.set)
+                @staticmethod
+                def set(v):
+                    tick(kind, name, name)
+                    return obj.set(v)
 
                 @staticmethod
                 def current():
-                    tick(kind, name)
+                    tick(kind, name, name)
                     return obj.current()
             return Provider()
 
         def call(*args):
-            tick(kind, name)
+            tick(kind, name, args[0].component if kind == "hook" else name)  # a hook's event names its component
             return obj(*args)
         return call
+
+
+FAULT_CODES = {"implementation": "IMPLEMENTATION_PANIC", "provider": "PLATFORM_FAULT",
+               "sink": "PLATFORM_FAULT", "hook": "HOOK_FAULT"}
 
 
 @settings(max_examples=150, deadline=None)
@@ -664,15 +785,18 @@ class _Injector:
 def test_injected_faults_poison_the_runtime_and_blame_the_culprit(seed, pick, at):
     injector = _Injector(pick, at)
     app = genspec.random_app(seed, wrap=injector.wrap)
+    app.runtime.trace = injector.wrap("hook", "trace", lambda event: None)
     try:
         genspec.drive(app, seed)
     except RuntimeFault as fault:
         kind, name = injector.culprit
         assert injector.calls == at
         assert isinstance(fault.__cause__, _Injected)
-        code = "IMPLEMENTATION_PANIC" if kind == "implementation" else "PLATFORM_FAULT"
-        assert (fault.code, fault.component) == (code, name)
-        assert app.runtime.failed and not app.runtime._queue
+        assert (fault.code, fault.component) == (FAULT_CODES[kind], injector.blamed)
+        # A provider's first call is the set() of drive's presetting set_source,
+        # which runs outside any drain and so poisons nothing.
+        assert app.runtime.failed is not (kind == "provider" and at == 1)
+        assert not app.runtime._queue
     else:
         assert injector.calls < at and not app.runtime.failed
     graph = build_flow_graph(app.spec)
