@@ -16,9 +16,6 @@ from .decls import Specification, validate
 from .errors import KernelError, ParseError
 from .flow import build_flow_graph, export_graph
 from .parser import SourceText, parse
-from .scenario import parse_scenario, run_scenario
-from .values import render_taints, render_value
-from .webcam import DEFAULT_SCENARIO, build_webcam_app
 
 
 class _CliIOError(Exception):
@@ -74,6 +71,11 @@ def cmd_graph(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    # Imported here so that `scc check` and `scc graph` never load the runtime.
+    from .scenario import parse_scenario, run_scenario
+    from .values import render_taints, render_value
+    from .webcam import DEFAULT_SCENARIO, build_webcam_app
+
     if args.scenario is None:
         text, origin = DEFAULT_SCENARIO, "<default>"
     else:
@@ -95,6 +97,8 @@ def cmd_demo(args) -> int:
 
 
 def _print_trace(ev) -> None:
+    from .values import render_taints, render_value
+
     if ev.kind == "activate":
         if ev.value is None:
             print(f"* activate {ev.component}")

@@ -14,6 +14,7 @@ that is validate()'s job.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .decls import (
@@ -41,43 +42,29 @@ class SourceText:
     origin: str = "<memory>"
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str  # one of "(", ")", "[", "]", a symbol, or "" for end of input
-    line: int
-    col: int
-
-    def describe(self) -> str:
-        return "end of input" if self.text == "" else f"'{self.text}'"
+# One alternative per token kind, tried at each offset: a line break, a
+# comment, or a token. Other whitespace (exactly what str.isspace() accepts)
+# is skipped by finditer's search.
+_TOKEN_RE = re.compile(r"(\n)|(;[^\n]*)|([()\[\]]|[^\s()\[\];]+)")
 
 
-def _tokenize(src: SourceText) -> list[_Token]:
+def _tokenize(src: SourceText) -> list[tuple[str, int, int]]:
+    """(text, line, col) triples, 1-based, ending with ("", line, col) for end of input."""
     tokens = []
-    line, col = 1, 1
-    i, text = 0, src.content
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line, col = line + 1, 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c == ";":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-        elif c in _PUNCT:
-            tokens.append(_Token(c, line, col))
-            col += 1
-            i += 1
-        else:
-            start, start_col = i, col
-            while i < len(text) and not text[i].isspace() and text[i] not in _PUNCT and text[i] != ";":
-                i += 1
-                col += 1
-            tokens.append(_Token(text[start:i], line, start_col))
-    tokens.append(_Token("", line, col))
+    line, line_start, text = 1, 0, src.content
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 3:
+            tokens.append((m.group(3), line, m.start() - line_start + 1))
+        elif m.lastindex == 1:
+            line, line_start = line + 1, m.end()
+    # The end-of-input column stops where a trailing comment starts.
+    end = text.find(";", line_start)
+    tokens.append(("", line, (len(text) if end < 0 else end) - line_start + 1))
     return tokens
+
+
+def _describe(text: str) -> str:
+    return "end of input" if text == "" else f"'{text}'"
 
 
 class _Parser:
@@ -86,61 +73,61 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, int, int]:
         tok = self.tokens[self.pos]
-        if tok.text != "":
+        if tok[0] != "":
             self.pos += 1
         return tok
 
-    def fail(self, tok: _Token, detail: str, code: str = "PARSE_ERROR"):
-        raise ParseError(code, detail, self.origin, tok.line, tok.col)
+    def fail(self, tok: tuple[str, int, int], detail: str, code: str = "PARSE_ERROR"):
+        raise ParseError(code, detail, self.origin, tok[1], tok[2])
 
-    def expect(self, text: str) -> _Token:
+    def expect(self, text: str) -> tuple[str, int, int]:
         tok = self.advance()
-        if tok.text != text:
-            self.fail(tok, f"expected '{text}', found {tok.describe()}")
+        if tok[0] != text:
+            self.fail(tok, f"expected '{text}', found {_describe(tok[0])}")
         return tok
 
-    def symbol(self, what: str) -> _Token:
+    def symbol(self, what: str) -> tuple[str, int, int]:
         tok = self.advance()
-        if tok.text in _PUNCT or tok.text == "":
-            self.fail(tok, f"expected {what}, found {tok.describe()}")
+        if tok[0] in _PUNCT or tok[0] == "":
+            self.fail(tok, f"expected {what}, found {_describe(tok[0])}")
         return tok
 
     def name(self, what: str) -> str:
         tok = self.symbol(what)
-        if not NAME_RE.fullmatch(tok.text):
-            self.fail(tok, f"{tok.describe()} is not a valid {what}")
-        return tok.text
+        if not NAME_RE.fullmatch(tok[0]):
+            self.fail(tok, f"{_describe(tok[0])} is not a valid {what}")
+        return tok[0]
 
     def data_type(self) -> DataType:
         tok = self.symbol("a type")
-        if tok.text not in _TYPE_NAMES:
+        if tok[0] not in _TYPE_NAMES:
             expected = ", ".join(sorted(_TYPE_NAMES))
-            self.fail(tok, f"unknown type {tok.describe()}; expected one of {expected}", code="UNKNOWN_TYPE")
-        return _TYPE_NAMES[tok.text]
+            self.fail(tok, f"unknown type {_describe(tok[0])}; expected one of {expected}", code="UNKNOWN_TYPE")
+        return _TYPE_NAMES[tok[0]]
 
     def specification(self) -> Specification:
         decls = []
-        while self.peek().text != "":
+        while self.peek() != "":
             decls.append(self.declaration())
         return Specification(tuple(decls))
 
     def declaration(self) -> Declaration:
-        opener = self.expect("(")
-        pos = (opener.line, opener.col)
+        pos = self.expect("(")[1:]
         head = self.symbol("a declaration keyword")
-        if head.text not in _KEYWORDS:
-            self.fail(head, f"unknown declaration keyword {head.describe()}; "
+        keyword = head[0]
+        if keyword not in _KEYWORDS:
+            self.fail(head, f"unknown declaration keyword {_describe(keyword)}; "
                             f"expected one of {', '.join(_KEYWORDS)}", code="UNKNOWN_KEYWORD")
-        if head.text == "define-source":
+        if keyword == "define-source":
             decl = SourceDecl(self.name("component name"), self.data_type(), pos=pos)
-        elif head.text == "define-action":
+        elif keyword == "define-action":
             decl = ActionDecl(self.name("component name"), self.data_type(), pos=pos)
-        elif head.text == "define-context":
+        elif keyword == "define-context":
             name = self.name("component name")
             out_type = self.data_type()
             self.expect("[")
@@ -161,29 +148,27 @@ class _Parser:
 
     def context_contract(self) -> InteractionContract:
         head = self.advance()
-        if head.text == "when-required":
+        if head[0] == "when-required":
             get = None
-            if self.peek().text == "get":
+            if self.peek() == "get":
                 self.advance()
                 get = self.name("component name")
-            if self.peek().text != "]":
-                self.fail(self.peek(), f"expected ']', found {self.peek().describe()}")
             return InteractionContract(None, get, PublishSpec.NO)
-        if head.text == "when-provided":
+        if head[0] == "when-provided":
             trigger = self.name("component name")
             get = None
-            if self.peek().text == "get":
+            if self.peek() == "get":
                 self.advance()
                 get = self.name("component name")
             pub = self.advance()
-            if pub.text == "always_publish":
+            if pub[0] == "always_publish":
                 publish = PublishSpec.ALWAYS
-            elif pub.text == "maybe_publish":
+            elif pub[0] == "maybe_publish":
                 publish = PublishSpec.MAYBE
             else:
-                self.fail(pub, f"expected 'always_publish' or 'maybe_publish', found {pub.describe()}")
+                self.fail(pub, f"expected 'always_publish' or 'maybe_publish', found {_describe(pub[0])}")
             return InteractionContract(trigger, get, publish)
-        self.fail(head, f"expected 'when-required' or 'when-provided', found {head.describe()}")
+        self.fail(head, f"expected 'when-required' or 'when-provided', found {_describe(head[0])}")
 
 
 def parse(text: SourceText | str) -> Specification:

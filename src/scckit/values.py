@@ -89,12 +89,14 @@ def render_value(v: Value) -> str:
 
 
 def render_literal(v: Value) -> str:
-    """Scenario-file literal form. Pictures with overlays have none."""
+    """Scenario-file literal form. Pictures with overlays and strings with line breaks have none."""
     if v.tag is DataType.PICTURE:
         p = v.payload
         if p.overlays:
             raise ValueError("a picture with overlays cannot be written as a scenario literal")
         return f"picture({p.width}x{p.height},seed={p.seed})"
+    if v.tag is DataType.STRING and "".join(v.payload.splitlines()) != v.payload:
+        raise ValueError("a string with a line break cannot be written as a scenario literal")
     return render_value(v)
 
 

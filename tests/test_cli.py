@@ -1,5 +1,9 @@
 """Command-line behavior: exit codes, stream separation, determinism."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 import genspec
@@ -119,6 +123,26 @@ def test_demo_default_scenario(run_cli):
     code, out, err = run_cli("demo")
     assert (code, err) == (0, "")
     assert out == FROZEN_DEMO_LINE
+
+
+_CHECK_THEN_GRAPH = """
+import sys
+from scckit.cli import main
+assert main(["check", sys.argv[1], "--contracts"]) == 0
+assert main(["graph", sys.argv[1]]) == 0
+demo_side = ("scckit.runtime", "scckit.scenario", "scckit.values", "scckit.webcam")
+print([name for name in demo_side if name in sys.modules], file=sys.stderr)
+"""
+
+
+def test_check_and_graph_never_import_the_demo_side(repo_root, webcam_scc):
+    env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
+    probe = subprocess.run([sys.executable, "-c", _CHECK_THEN_GRAPH, str(webcam_scc)],
+                           cwd=repo_root, env=env, capture_output=True, text=True)
+    assert (probe.returncode, probe.stderr) == (0, "[]\n")
+    demo = subprocess.run([sys.executable, "-m", "scckit", "demo"],
+                          cwd=repo_root, env=env, capture_output=True, text=True)
+    assert (demo.returncode, demo.stdout, demo.stderr) == (0, FROZEN_DEMO_LINE, "")
 
 
 def test_demo_with_shipped_scenario_file(run_cli, default_scn):

@@ -1,9 +1,12 @@
 """Surface-syntax tests: examples, error positions, and round-trip laws."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scckit import parser
 from scckit import (
     ActionDecl,
     ContextDecl,
@@ -171,3 +174,95 @@ def test_parse_is_total_on_syntax_shaped_text(text):
         parse(text)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("text,rendered", [
+    ("(define-source A ; trailing",
+     "<memory>:1:18: PARSE_ERROR: expected a type, found end of input"),
+    ("(define-source A Int)\n(define-action B ;x",
+     "<memory>:2:18: PARSE_ERROR: expected a type, found end of input"),
+    ("(define-context C Int [when-required get",
+     "<memory>:1:41: PARSE_ERROR: expected component name, found end of input"),
+])
+def test_end_of_input_column_stops_at_a_trailing_comment(text, rendered):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == rendered
+
+
+def _oracle_tokenize(src):
+    """The character-at-a-time tokenizer that the regex one replaced, as an oracle."""
+    tokens = []
+    line, col = 1, 1
+    i, text = 0, src.content
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, col = line + 1, 1
+            i += 1
+        elif c.isspace():
+            col += 1
+            i += 1
+        elif c == ";":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+        elif c in "()[]":
+            tokens.append((c, line, col))
+            col += 1
+            i += 1
+        else:
+            start, start_col = i, col
+            while i < len(text) and not text[i].isspace() and text[i] not in "()[]" and text[i] != ";":
+                i += 1
+                col += 1
+            tokens.append((text[start:i], line, start_col))
+    tokens.append(("", line, col))
+    return tokens
+
+
+# Every whitespace kind the two tokenizers must agree on: \n is the only line
+# break; the rest, \r and \u2028 included, advance the column by one.
+_SPACES = ("\n", "\r", "\t", "\x0b", "\x0c", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", " ")
+_WORDS = ("define-source", "define-action", "define-context", "define-controller",
+          "Bool", "Int", "String", "Picture", "get", "do", "when-required", "when-provided",
+          "always_publish", "maybe_publish", "A", "B9", "x_", "Cam", "-", "7", "\u00e9")
+_DECLS = (
+    ("(", "define-source", "A", "Int", ")"),
+    ("(", "define-action", "B", "String", ")"),
+    ("(", "define-context", "C", "Int", "[", "when-required", "get", "A", "]", ")"),
+    ("(", "define-context", "D", "Int", "[", "when-provided", "A", "maybe_publish", "]", ")"),
+    ("(", "define-controller", "E", "[", "when-provided", "D", "do", "B", "]", ")"),
+)
+_gaps = st.lists(st.sampled_from(_SPACES + ("; note\n", ";")), max_size=3).map("".join)
+
+
+@st.composite
+def _spaced_specs(draw):
+    """Well-formed declarations with any whitespace and comments between tokens."""
+    parts = []
+    for decl in draw(st.lists(st.sampled_from(_DECLS), max_size=4)):
+        for token in decl:
+            parts += [draw(_gaps), token]
+    parts.append(draw(_gaps))
+    return "".join(parts)
+
+
+def _outcome(src):
+    try:
+        spec = parse(src)
+    except ParseError as exc:
+        return str(exc)
+    return spec, [d.pos for d in spec.declarations]
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.lists(st.sampled_from(("(", ")", "[", "]", ";") + _SPACES + _WORDS), max_size=40).map("".join),
+    _spaced_specs(),
+))
+def test_tokenizer_and_parser_match_the_character_oracle(text):
+    src = SourceText(text)
+    assert parser._tokenize(src) == _oracle_tokenize(src)
+    got = _outcome(src)
+    with mock.patch.object(parser, "_tokenize", _oracle_tokenize):
+        assert got == _outcome(src)

@@ -90,12 +90,10 @@ def test_format_scenario_canonical_text():
     assert format_scenario(sc) == 'set IP "Ads Inc"\nemit Camera picture(640x480,seed=7)\n'
 
 
-printable = st.text(
-    alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
 literals = st.one_of(
     st.booleans().map(lambda b: Value(DataType.BOOL, b)),
     st.integers(INT64_MIN, INT64_MAX).map(lambda n: Value(DataType.INT, n)),
-    printable.map(lambda s: Value(DataType.STRING, s)),
+    st.text(max_size=12).map(lambda s: Value(DataType.STRING, s)),
     st.builds(lambda w, h, s: Value(DataType.PICTURE, PictureData(w, h, s)),
               st.integers(1, 4000), st.integers(1, 4000), st.integers(-99, 99)),
 )
@@ -105,9 +103,27 @@ steps = st.one_of(st.builds(SetStep, step_names, literals),
 scenarios = st.builds(lambda ss: Scenario(tuple(ss)), st.lists(steps, max_size=6))
 
 
+# Where str.splitlines, and so parse_scenario, ends a line.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 @given(scenarios)
 def test_scenario_round_trip(sc):
-    assert parse_scenario(format_scenario(sc)) == sc
+    unwritable = any(step.value.tag is DataType.STRING and set(step.value.payload) & set(LINE_BREAKS)
+                     for step in sc.steps)
+    if unwritable:
+        with pytest.raises(ValueError, match="a string with a line break"):
+            format_scenario(sc)
+    else:
+        assert parse_scenario(format_scenario(sc)) == sc
+
+
+@pytest.mark.parametrize("text", ["a\x0cb", "a\nb", "line\u2028"])
+def test_format_scenario_refuses_strings_with_line_breaks(text):
+    sc = Scenario((SetStep("IP", Value(DataType.STRING, text)),))
+    with pytest.raises(ValueError) as err:
+        format_scenario(sc)
+    assert str(err.value) == "a string with a line break cannot be written as a scenario literal"
 
 
 def test_scripted_source_set_then_current():
