@@ -92,12 +92,7 @@ def derive_all(spec: Specification) -> dict[str, BoundaryContract]:
             for d in spec.declarations if isinstance(d, (ContextDecl, ControllerDecl))}
 
 
-_TYPE_PREDICATES = {
-    DataType.BOOL: "bool?",
-    DataType.INT: "int?",
-    DataType.STRING: "string?",
-    DataType.PICTURE: "picture?",
-}
+_TYPE_PREDICATES = {t: f"{t.value.lower()}?" for t in DataType}  # DataType.INT -> "int?"
 
 
 def render_contract(c: BoundaryContract) -> str:

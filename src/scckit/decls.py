@@ -157,39 +157,31 @@ def validate(spec: Specification) -> list[Diagnostic]:
     Pure and deterministic: diagnostics come out ordered by declaration
     index, with a fixed check order within each declaration.
     """
-    diags: list[Diagnostic] = []
     table = spec._table
+    pulls, depths = _chains(spec, _is_required_context, lambda d: d.contract.get_target)
+    publishes, _ = _chains(spec, _is_provided_context, lambda d: d.contract.trigger)
+    diags: list[Diagnostic] = []
     seen: set[str] = set()
-
     for i, decl in enumerate(spec.declarations):
         if not NAME_RE.fullmatch(decl.name):
             diags.append(Diagnostic(i, "BAD_NAME", f"'{decl.name}' is not a valid component name"))
         if decl.name in seen:
             diags.append(Diagnostic(i, "DUP_NAME", f"'{decl.name}' is already declared"))
         seen.add(decl.name)
-
-    for i, decl in enumerate(spec.declarations):
-        if isinstance(decl, ContextDecl):
-            diags.extend(_check_context(i, decl, table))
-        elif isinstance(decl, ControllerDecl):
+        if isinstance(decl, ControllerDecl):
             diags.extend(_check_controller(i, decl, table))
-
-    pulls, depths = _chains(spec, _is_required_context, lambda d: d.contract.get_target)
-    publishes, _ = _chains(spec, _is_provided_context, lambda d: d.contract.trigger)
-    for i, decl in enumerate(spec.declarations):
+        if not isinstance(decl, ContextDecl):
+            continue
+        diags.extend(_check_context(i, decl, table))
         if decl.name in pulls and _is_required_context(decl):
             diags.append(Diagnostic(i, "GET_CYCLE", f"get dependencies of '{decl.name}' form a cycle"))
         elif decl.name in publishes and _is_provided_context(decl):
             diags.append(Diagnostic(i, "PUBLISH_CYCLE", f"publish triggers of '{decl.name}' form a cycle"))
-    # A chain over the limit needs more measured contexts than the limit. A pull of a
-    # context nests every when-required context on its target's chain.
-    for i, decl in enumerate(spec.declarations if len(depths) > MAX_PULL_DEPTH else ()):
-        depth = depths.get(decl.contract.get_target, 0) if isinstance(decl, ContextDecl) else 0
+        # A pull of a context nests every when-required context on its target's chain.
+        depth = depths.get(decl.contract.get_target, 0)
         if depth > MAX_PULL_DEPTH:
             diags.append(Diagnostic(i, "PULL_TOO_DEEP", f"get chain of '{decl.name}' nests {depth} "
                                     f"when-required contexts; the limit is {MAX_PULL_DEPTH}"))
-
-    diags.sort(key=lambda d: d.index)
     return diags
 
 

@@ -188,6 +188,8 @@ class Runtime:
         if name not in self.contracts:
             raise KernelError("UNDECLARED_COMPONENT",
                               f"'{name}' is not a declared context or controller", component=name)
+        if impl is None:
+            raise KernelError("MISSING_IMPLEMENTATION", f"'{name}' cannot be registered as None")
         if name in self._impls:
             raise KernelError("DUPLICATE_IMPLEMENTATION",
                               f"'{name}' already has an implementation", component=name)

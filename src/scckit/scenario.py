@@ -68,96 +68,62 @@ class Scenario:
         object.__setattr__(self, "steps", tuple(self.steps))
 
 
-_CMD_RE = re.compile(r"(set|emit)\b")
-_WORD_RE = re.compile(r"true\b|false\b")
-_INT_RE = re.compile(r"-?[0-9]+")
-_PICTURE_RE = re.compile(r"picture\(([0-9]+)x([0-9]+),seed=(-?[0-9]+)\)")
+_HEAD_RE = re.compile(rf"\s*(?:(#|$)|(set|emit)\b\s*(?:({NAME_RE.pattern})\s*)?)?")
+_LITERAL_RE = re.compile(r"""
+    "(?P<string>(?:[^"\\]|\\["\\])*)(?:(?P<closed>")|(?P<escape>\\)|)  # neither: unterminated
+  | (?P<word>true|false)\b
+  | picture(?:\((?P<width>[0-9]+)x(?P<height>[0-9]+),seed=(?P<seed>-?[0-9]+)\))?  # neither: malformed
+  | (?P<number>-?[0-9]+)
+""", re.VERBOSE)
+_GAP_RE = re.compile(r"\s*")
 
 
 def parse_scenario(text: str, origin: str = "<memory>") -> Scenario:
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        step = _parse_line(line, lineno, origin)
-        if step is not None:
-            steps.append(step)
-    return Scenario(tuple(steps))
-
-
-def _err(origin, lineno, col, detail):
-    return ParseError("SCENARIO_PARSE_ERROR", detail, origin, lineno, col)
-
-
-def _parse_line(line: str, lineno: int, origin: str):
-    i = _skip_spaces(line, 0)
-    if i >= len(line) or line[i] == "#":
-        return None
-    cmd = _CMD_RE.match(line, i)
-    if cmd is None:
-        raise _err(origin, lineno, i + 1, "expected 'set' or 'emit'")
-    i = _skip_spaces(line, cmd.end())
-    name = NAME_RE.match(line, i)
-    if name is None:
-        raise _err(origin, lineno, i + 1, "expected a source name")
-    i = _skip_spaces(line, name.end())
-    value, i = _parse_literal(line, i, lineno, origin)
-    i = _skip_spaces(line, i)
-    if i < len(line) and line[i] != "#":
-        raise _err(origin, lineno, i + 1, f"unexpected text after step: {line[i:]!r}")
-    step_cls = SetStep if cmd.group(1) == "set" else EmitStep
-    return step_cls(name.group(0), value)
-
-
-def _skip_spaces(line: str, i: int) -> int:
-    while i < len(line) and line[i].isspace():
-        i += 1
-    return i
-
-
-def _parse_literal(line: str, i: int, lineno: int, origin: str) -> tuple[Value, int]:
-    if i >= len(line):
-        raise _err(origin, lineno, i + 1, "expected a literal")
-    c = line[i]
-    if c == '"':
-        return _parse_string(line, i, lineno, origin)
-    word = _WORD_RE.match(line, i)
-    if word is not None:
-        return Value(DataType.BOOL, word.group(0) == "true"), word.end()
-    if line.startswith("picture", i):
-        m = _PICTURE_RE.match(line, i)
-        if m is None:
-            raise _err(origin, lineno, i + 1, "malformed picture literal; expected picture(WxH,seed=N)")
-        width, height, seed = int(m.group(1)), int(m.group(2)), int(m.group(3))
-        if not INT64_MIN <= seed <= INT64_MAX:
-            raise _err(origin, lineno, i + 1, "picture seed out of 64-bit range")
-        try:
-            return Value(DataType.PICTURE, PictureData(width, height, seed)), m.end()
-        except KernelError as exc:
-            raise _err(origin, lineno, i + 1, exc.detail)
-    num = _INT_RE.match(line, i)
-    if num is not None:
-        n = int(num.group(0))
-        if not INT64_MIN <= n <= INT64_MAX:
-            raise _err(origin, lineno, i + 1, "integer literal out of 64-bit range")
-        return Value(DataType.INT, n), num.end()
-    raise _err(origin, lineno, i + 1, f"expected a literal, found {line[i:]!r}")
-
-
-def _parse_string(line: str, i: int, lineno: int, origin: str) -> tuple[Value, int]:
-    out = []
-    j = i + 1
-    while j < len(line):
-        c = line[j]
-        if c == '"':
-            return Value(DataType.STRING, "".join(out)), j + 1
-        if c == "\\":
-            if j + 1 >= len(line) or line[j + 1] not in '"\\':
-                raise _err(origin, lineno, j + 1, "unknown escape; only \\\" and \\\\ are supported")
-            out.append(line[j + 1])
-            j += 2
+        head = _HEAD_RE.match(line)
+        blank, cmd, name = head.groups()
+        if blank is not None:
+            continue
+        at = head.end()  # where the missing or faulty part starts
+        lit = _LITERAL_RE.match(line, at) if name else None
+        string, closed, escape, word, width, height, seed, number = lit.groups() if lit else (None,) * 8
+        value = None
+        if cmd is None:
+            detail = "expected 'set' or 'emit'"
+        elif name is None:
+            detail = "expected a source name"
+        elif lit is None:
+            detail = f"expected a literal, found {line[at:]!r}" if line[at:] else "expected a literal"
+        elif closed:
+            value = Value(DataType.STRING, re.sub(r"\\(.)", r"\1", string))
+        elif escape:
+            at, detail = lit.start("escape"), "unknown escape; only \\\" and \\\\ are supported"
+        elif string is not None:
+            detail = "unterminated string literal"
+        elif word:
+            value = Value(DataType.BOOL, word == "true")
+        elif number is not None and INT64_MIN <= int(number) <= INT64_MAX:
+            value = Value(DataType.INT, int(number))
+        elif number is not None:
+            detail = "integer literal out of 64-bit range"
+        elif width is None:
+            detail = "malformed picture literal; expected picture(WxH,seed=N)"
+        elif not INT64_MIN <= int(seed) <= INT64_MAX:
+            detail = "picture seed out of 64-bit range"
         else:
-            out.append(c)
-            j += 1
-    raise _err(origin, lineno, i + 1, "unterminated string literal")
+            try:
+                value = Value(DataType.PICTURE, PictureData(int(width), int(height), int(seed)))
+            except KernelError as exc:
+                detail = exc.detail
+        if value is not None:
+            at = _GAP_RE.match(line, lit.end()).end()
+            if line[at:at + 1] in ("", "#"):
+                steps.append((SetStep if cmd == "set" else EmitStep)(name, value))
+                continue
+            detail = f"unexpected text after step: {line[at:]!r}"
+        raise ParseError("SCENARIO_PARSE_ERROR", detail, origin, lineno, at + 1)
+    return Scenario(tuple(steps))
 
 
 def format_scenario(sc: Scenario) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .decls import Specification
 from .parser import parse
 from .runtime import Runtime, create_runtime
-from .scenario import RecordingSink, Scenario, ScriptedSource, parse_scenario
+from .scenario import RecordingSink, ScriptedSource
 from .values import overlay
 
 WEBCAM_SPEC = """\
@@ -47,10 +47,6 @@ emit Camera picture(640x480,seed=7)
 
 def webcam_spec() -> Specification:
     return parse(WEBCAM_SPEC)
-
-
-def default_scenario() -> Scenario:
-    return parse_scenario(DEFAULT_SCENARIO)
 
 
 def process_picture(pic, publish):

@@ -104,6 +104,13 @@ def test_graph_out_writes_file_and_keeps_stdout_clean(run_cli, webcam_scc, golde
     assert target.read_text(encoding="utf-8") == (golden_dir / "webcam.dot").read_text(encoding="utf-8")
 
 
+def test_graph_out_to_a_missing_directory_is_an_io_error(run_cli, webcam_scc, tmp_path):
+    target = tmp_path / "missing" / "x.dot"
+    code, out, err = run_cli("graph", str(webcam_scc), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"scc: cannot write {target}: No such file or directory\n"
+
+
 def test_graph_rejects_unknown_format(run_cli, webcam_scc):
     code, _, err = run_cli("graph", str(webcam_scc), "--format", "svg")
     assert code == 2

@@ -12,6 +12,7 @@ from scckit import (
     ContextDecl,
     ControllerDecl,
     DataType,
+    InteractionContract,
     ParseError,
     PublishSpec,
     SourceDecl,
@@ -124,6 +125,18 @@ def test_pretty_print_canonical_forms():
         "(define-context ProcessPicture Picture [when-provided Camera always_publish])\n"
         "(define-controller Display [when-provided ComposeDisplay do Screen])\n"
     )
+
+
+@pytest.mark.parametrize("contract,message", [
+    (InteractionContract(None, "IP", PublishSpec.ALWAYS),
+     "when-required contract with a publish specification has no written form"),
+    (InteractionContract("Camera", None, PublishSpec.NO),
+     "when-provided contract without a publish specification has no written form"),
+])
+def test_pretty_print_refuses_contracts_without_a_written_form(contract, message):
+    with pytest.raises(ValueError) as err:
+        pretty_print(Specification((ContextDecl("X", STRING, contract),)))
+    assert str(err.value) == message
 
 
 def test_pretty_print_empty_spec_is_empty_text():

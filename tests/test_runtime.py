@@ -603,6 +603,33 @@ def test_binding_none_is_rejected():
     rt.bind_source("S", ScriptedSource())  # the refused binding left the name free
 
 
+def test_registering_none_is_rejected():
+    rt = create_runtime(CHAIN)
+    with pytest.raises(KernelError) as err:
+        rt.register("Ghost", None)
+    assert err.value.code == "UNDECLARED_COMPONENT"  # the declared-component check comes first
+    for name in ("P", "C"):
+        with pytest.raises(KernelError) as err:
+            rt.register(name, None)
+        assert str(err.value) == f"MISSING_IMPLEMENTATION: '{name}' cannot be registered as None"
+    rt.register("P", chain_impls()["P"])  # the refused registration left the name free
+
+
+def test_set_source_on_an_unbound_source_is_a_missing_binding():
+    rt = create_runtime(CHAIN)
+    with pytest.raises(KernelError) as err:
+        rt.set_source("S", int_value(1))
+    assert str(err.value) == "MISSING_BINDING [S]: source 'S' has no provider bound"
+
+
+def test_emitting_a_bare_payload_is_a_type_mismatch():
+    app = build_webcam_app()
+    with pytest.raises(KernelError) as err:
+        app.runtime.emit("Camera", 5)
+    assert str(err.value) == "TYPE_MISMATCH [Camera]: source 'Camera' carries Picture, got 5"
+    assert not app.runtime.failed  # refused at entry, before any drain
+
+
 def test_forged_fault_is_the_implementations_own_panic():
     forged = RuntimeFault("PLATFORM_FAULT", "provider raised OSError: no", component="S")
 
