@@ -66,62 +66,12 @@ def __dir__() -> list[str]:
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActionDecl",
-    "BoundaryContract",
-    "Capability",
-    "CapabilityKind",
-    "ContextDecl",
-    "ControllerDecl",
-    "DEFAULT_SCENARIO",
-    "DataType",
-    "Declaration",
-    "Diagnostic",
-    "EmitStep",
-    "FlowEdge",
-    "FlowGraph",
-    "FlowNode",
-    "InteractionContract",
-    "KernelError",
-    "ParseError",
-    "PictureData",
-    "PublishSpec",
-    "RecordingSink",
-    "ResultKind",
-    "Runtime",
-    "RuntimeFault",
-    "Scenario",
-    "ScriptedSource",
-    "SetStep",
-    "SourceDecl",
-    "SourceText",
-    "Specification",
-    "TaintedValue",
-    "TraceEvent",
-    "Value",
-    "WEBCAM_SPEC",
-    "WebcamApp",
-    "build_flow_graph",
-    "build_webcam_app",
-    "check_value",
-    "create_runtime",
-    "derive_all",
-    "derive_contract",
-    "export_graph",
-    "format_scenario",
-    "make_picture",
-    "output_type_of",
-    "overlay",
-    "parse",
-    "parse_scenario",
-    "pretty_print",
-    "render_contract",
-    "render_taints",
-    "render_value",
-    "run_scenario",
-    "source_ancestors",
-    "validate",
-    "webcam_spec",
-    "when_provided",
-    "when_required",
-]
+# The eager names imported above and the lazy ones, in code-point order.
+__all__ = sorted([
+    "BoundaryContract", "Capability", "CapabilityKind", "ResultKind", "derive_all", "derive_contract",
+    "render_contract", "ActionDecl", "ContextDecl", "ControllerDecl", "DataType", "Declaration", "Diagnostic",
+    "InteractionContract", "PublishSpec", "SourceDecl", "Specification", "output_type_of", "validate",
+    "when_provided", "when_required", "KernelError", "ParseError", "RuntimeFault", "FlowEdge", "FlowGraph",
+    "FlowNode", "build_flow_graph", "export_graph", "source_ancestors", "SourceText", "parse", "pretty_print",
+    *_HOME,
+])

@@ -60,6 +60,13 @@ class BoundaryContract:
     result_type: DataType | None = None
 
 
+# Members as plain globals, here and in the runtime's seal and hot path: in 3.11
+# EnumType defines __getattr__, which makes every load through the class several times slower.
+_GET, _DO, _NO_PUBLISH, _MAYBE = CapabilityKind.GET, CapabilityKind.DO, PublishSpec.NO, PublishSpec.MAYBE
+_RETURNS_VALUE, _RETURNS_NOTHING = ResultKind.RETURNS_VALUE, ResultKind.RETURNS_NOTHING
+_NO_RETURN = ResultKind.NO_RETURN
+
+
 def derive_contract(spec: Specification, name: str) -> BoundaryContract:
     """Contract for a declared context or controller of a validated spec."""
     decl = spec.find(name)
@@ -70,18 +77,16 @@ def derive_contract(spec: Specification, name: str) -> BoundaryContract:
         activation = None if c.trigger is None else output_type_of(spec, c.trigger)
         capability = None
         if c.get_target is not None:
-            capability = Capability(CapabilityKind.GET, c.get_target, output_type_of(spec, c.get_target))
-        if c.publish is PublishSpec.NO:
-            return BoundaryContract(name, activation, capability, PublishSpec.NO, None,
-                                    ResultKind.RETURNS_VALUE, decl.out_type)
-        return BoundaryContract(name, activation, capability, c.publish, decl.out_type,
-                                ResultKind.NO_RETURN)
+            capability = Capability(_GET, c.get_target, output_type_of(spec, c.get_target))
+        if c.publish is _NO_PUBLISH:
+            return BoundaryContract(name, activation, capability, _NO_PUBLISH, None, _RETURNS_VALUE,
+                                    decl.out_type)
+        return BoundaryContract(name, activation, capability, c.publish, decl.out_type, _NO_RETURN)
     if isinstance(decl, ControllerDecl):
         action = spec.find(decl.action)
         assert isinstance(action, ActionDecl)
         return BoundaryContract(name, output_type_of(spec, decl.trigger),
-                                Capability(CapabilityKind.DO, decl.action, action.in_type),
-                                PublishSpec.NO, None, ResultKind.RETURNS_NOTHING)
+                                Capability(_DO, decl.action, action.in_type), _NO_PUBLISH, None, _RETURNS_NOTHING)
     raise KernelError("WRONG_KIND", f"'{name}' is a {decl.kind}; only contexts and controllers "
                                     "carry boundary contracts", component=name)
 
@@ -106,14 +111,14 @@ def render_contract(c: BoundaryContract) -> str:
         parts.append(_TYPE_PREDICATES[c.activation_param])
     if c.capability is not None:
         t = _TYPE_PREDICATES[c.capability.value_type]
-        parts.append(f"(-> {t})" if c.capability.kind is CapabilityKind.GET else f"(-> {t} void?)")
-    if c.publish is not PublishSpec.NO:
+        parts.append(f"(-> {t})" if c.capability.kind is _GET else f"(-> {t} void?)")
+    if c.publish is not _NO_PUBLISH:
         parts.append(f"(-> {_TYPE_PREDICATES[c.publish_type]} void?)")
-        if c.publish is PublishSpec.MAYBE:
+        if c.publish is _MAYBE:
             parts.append("(-> void?)")
-    if c.result is ResultKind.RETURNS_VALUE:
+    if c.result is _RETURNS_VALUE:
         parts.append(_TYPE_PREDICATES[c.result_type])
-    elif c.result is ResultKind.RETURNS_NOTHING:
+    elif c.result is _RETURNS_NOTHING:
         parts.append("void?")
     else:
         parts.append("none/c")

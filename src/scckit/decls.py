@@ -30,6 +30,8 @@ class DataType(Enum):
     STRING = "String"
     PICTURE = "Picture"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's own hash is Python code
+
     def __str__(self) -> str:
         return self.value
 

@@ -5,8 +5,10 @@ arguments its boundary contract grants, in a fixed order — activation
 payload, resource capability (a get or do handle), then the publish /
 no-publish continuations. Publishing is a non-returning control transfer;
 taints accumulate per activation and ride along on every outgoing value.
-Each value is checked once, where untrusted code hands it in; ``seal`` proves
-that activation payload types agree with what triggers publish.
+Each value is checked once, where untrusted code hands it in. ``seal`` proves
+that activation payload types agree with what triggers publish, links each
+component to the plans it wakes and reaches, and fixes its entry checks and
+its contract shape's call: no activation reads a contract or looks up a name.
 
 A single engine instance is single-threaded. Capability and continuation
 handles are the bound methods of one activation; calling one after it ends
@@ -18,18 +20,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .contracts import BoundaryContract, CapabilityKind, ResultKind, derive_all
-from .decls import (
-    ActionDecl,
-    ContextDecl,
-    ControllerDecl,
-    PublishSpec,
-    SourceDecl,
-    Specification,
-    validate,
-)
+from .contracts import _GET, _MAYBE, _NO_PUBLISH, _NO_RETURN, _RETURNS_VALUE, derive_all
+from .decls import ActionDecl, ContextDecl, ControllerDecl, SourceDecl, Specification, validate
 from .errors import KernelError, RuntimeFault
-from .values import TaintedValue, Value, check_value, payload_matches
+from .values import PAYLOAD_CHECKS, TaintedValue, Value
+
+_NO_TAINTS: frozenset[str] = frozenset()
 
 
 class _ActivationEscape(BaseException):
@@ -45,16 +41,79 @@ class TraceEvent:
     target: str | None = None
 
 
-@dataclass(slots=True)
 class _Plan:
-    """What ``seal`` fixes for one component."""
+    """One declaration as registered or bound, then sealed. A source or action has its
+    provider or sink, type (``tag``), that type's check and its taint; a component
+    has its implementation, contract, result kind, capability ``target`` plan, the
+    check ``ok`` of what it publishes or returns, and its shape's ``call``. Plans
+    link to the ``subscribers`` they wake but never back to their runtime, so a
+    dropped runtime is freed at once, without the cycle collector."""
 
-    name: str
-    impl: object
-    contract: BoundaryContract
-    resource: object  # provider or sink the capability reaches; None for a pulled context
-    handles: tuple[str, ...]  # the _Activation methods the implementation receives, in order
-    subscribers: tuple[str, ...]
+    __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "contract", "result", "call",
+                 "target", "ok", "subscribers")
+
+    def __init__(self, name: str, impl, resource):
+        self.name, self.impl, self.resource = name, impl, resource
+        self.call, self.subscribers = None, ()
+
+    def admits(self, v) -> bool:
+        """Whether ``v`` is a ``Value`` of this source's or action's type."""
+        return isinstance(v, Value) and v.tag is self.tag and self.accepts(v.payload)
+
+    def run(self, rt: Runtime, payload, taints: frozenset[str]):
+        """The activator: run this context or controller once in ``rt``. A
+        pull-activated context returns ``(payload, taints)``."""
+        act = _Activation(rt, self, taints)
+        trace = rt.trace
+        if trace is not None:
+            param = self.contract.activation_param
+            value = None if param is None else TaintedValue(Value(param, payload), taints)
+            rt._call_out("HOOK_FAULT", self.name, "trace hook", trace, TraceEvent("activate", self.name, value))
+        stack = rt._stack
+        stack.append(act)
+        try:
+            returned = self.call(self.impl, act, payload)
+        except _ActivationEscape as esc:
+            if esc.args[0] is not act:  # foreign escape: never ours to absorb
+                raise
+            returned = None
+        except Exception as exc:
+            if act.fault is not None:  # recorded on its way out, or swallowed before this exception
+                raise act.fault
+            raise rt._record(RuntimeFault("IMPLEMENTATION_PANIC", f"implementation raised "
+                                          f"{type(exc).__name__}: {exc}", self.name)) from exc
+        finally:
+            stack.pop()
+
+        if act.fault is not None:  # a fault the implementation swallowed
+            raise act.fault
+        if self.result is _NO_RETURN:
+            if not act.fired:
+                raise rt._record(RuntimeFault("NO_CONTINUATION_CALLED", "implementation finished "
+                                              "without publish or nopublish", self.name))
+        elif self.result is _RETURNS_VALUE:
+            if not self.ok(returned):
+                raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"returned value must be "
+                                              f"{self.contract.result_type}, got {returned!r}", self.name))
+            return returned, act.taints
+        elif returned is not None:
+            raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"controller returned a value "
+                                          f"({returned!r}) but must not", self.name))
+        return None
+
+
+# The seven contract shapes, keyed by the handles the contract grants. Each call
+# hands an implementation exactly its arguments: the payload if any, then those.
+_SHAPES = {
+    (): lambda impl, act, payload: impl(),  # when-required
+    ("get",): lambda impl, act, payload: impl(act.get),  # when-required with get
+    ("publish",): lambda impl, act, payload: impl(payload, act.publish),
+    ("get", "publish"): lambda impl, act, payload: impl(payload, act.get, act.publish),
+    ("publish", "nopublish"): lambda impl, act, payload: impl(payload, act.publish, act.nopublish),
+    ("get", "publish", "nopublish"):
+        lambda impl, act, payload: impl(payload, act.get, act.publish, act.nopublish),
+    ("do",): lambda impl, act, payload: impl(payload, act.do),  # controller
+}
 
 
 class _Activation:
@@ -62,14 +121,11 @@ class _Activation:
     and ``nopublish`` are the handles its implementation receives, so every
     handle belongs to exactly one activation and dies with it."""
 
-    __slots__ = ("rt", "plan", "taints", "fired", "fault")
+    __slots__ = ("rt", "plan", "taints", "fired", "fault")  # fired: a continuation has taken effect
 
     def __init__(self, rt: Runtime, plan: _Plan, taints: frozenset[str]):
-        self.rt = rt
-        self.plan = plan
-        self.taints = taints
-        self.fired = False  # a continuation has taken effect
-        self.fault: RuntimeFault | None = None
+        self.rt, self.plan, self.taints = rt, plan, taints
+        self.fired, self.fault = False, None
 
     def _live(self):
         """A handle works only while its activation runs on top, and not after a fault."""
@@ -82,44 +138,46 @@ class _Activation:
 
     def get(self):
         self._live()
-        rt, cap, resource = self.rt, self.plan.contract.capability, self.plan.resource
-        v = None
-        if resource is None:  # a pull-activated context
-            payload, taints = rt._activate(cap.target, None, frozenset())
+        rt, plan = self.rt, self.plan
+        target, v = plan.target, None
+        if target.call is not None:  # a pull-activated context
+            payload, taints = target.run(rt, None, _NO_TAINTS)
         else:
-            v = rt._call_out("PLATFORM_FAULT", cap.target, "provider", resource.current)
+            v = rt._call_out("PLATFORM_FAULT", target.name, "provider", target.resource.current)
             if v is None:
-                raise rt._record(RuntimeFault("PULL_BEFORE_VALUE", f"source '{cap.target}' pulled before "
-                                              "any value was set", self.plan.name))
-            if not check_value(v, cap.value_type):
-                raise rt._record(RuntimeFault("TYPE_MISMATCH", f"provider for '{cap.target}' answered with "
-                                              f"{_describe(v)}, expected {cap.value_type}", self.plan.name))
-            payload, taints = v.payload, frozenset((cap.target,))
+                raise rt._record(RuntimeFault("PULL_BEFORE_VALUE", f"source '{target.name}' pulled before "
+                                              "any value was set", plan.name))
+            if not target.admits(v):
+                raise rt._record(RuntimeFault("TYPE_MISMATCH", f"provider for '{target.name}' answered with "
+                                              f"{_describe(v)}, expected {target.tag}", plan.name))
+            payload, taints = v.payload, target.taints
         trace = rt.trace
         if trace is not None:
-            v = Value(cap.value_type, payload) if v is None else v
-            rt._call_out("HOOK_FAULT", self.plan.name, "trace hook", trace,
-                         TraceEvent("pull", self.plan.name, TaintedValue(v, taints), target=cap.target))
+            v = Value(plan.contract.capability.value_type, payload) if v is None else v
+            rt._call_out("HOOK_FAULT", plan.name, "trace hook", trace,
+                         TraceEvent("pull", plan.name, TaintedValue(v, taints), target=target.name))
         self.taints |= taints
         return payload
 
     def do(self, payload):
         self._live()
-        rt, cap = self.rt, self.plan.contract.capability
-        if not payload_matches(cap.value_type, payload):
-            raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"value sent to '{cap.target}' must be "
-                                          f"{cap.value_type}, got {payload!r}", self.plan.name))
-        v = Value(cap.value_type, payload)
-        rt._call_out("PLATFORM_FAULT", cap.target, "sink", self.plan.resource, v)
-        rt._log.append((cap.target, TaintedValue(v, self.taints)))
+        rt, target = self.rt, self.plan.target
+        if not target.accepts(payload):
+            raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"value sent to '{target.name}' must be "
+                                          f"{target.tag}, got {payload!r}", self.plan.name))
+        v = Value(target.tag, payload)
+        rt._call_out("PLATFORM_FAULT", target.name, "sink", target.resource, v)
+        rt._log.append((target.name, TaintedValue(v, self.taints)))
 
     def publish(self, payload):
         self._fire()
-        publish_type = self.plan.contract.publish_type
-        if not payload_matches(publish_type, payload):
+        plan = self.plan
+        if not plan.ok(payload):
             raise self.rt._record(RuntimeFault("CONTRACT_VIOLATION", f"published value must be "
-                                               f"{publish_type}, got {payload!r}", self.plan.name))
-        self.rt._queue.extend([(sub, payload, self.taints) for sub in self.plan.subscribers])
+                                               f"{plan.contract.publish_type}, got {payload!r}", plan.name))
+        append, taints = self.rt._queue.append, self.taints
+        for subscriber in plan.subscribers:
+            append((subscriber, payload, taints))
         raise _ActivationEscape(self)
 
     def nopublish(self):
@@ -152,16 +210,9 @@ class Runtime:
                               f"specification has {len(report)} diagnostic(s); first: {report[0].message}")
         self.spec = spec
         self.contracts = derive_all(spec)
-        self._impls: dict[str, object] = {}
-        self._resources: dict[str, object] = {}  # the provider of each source, the sink of each action
-        self._subscribers: dict[str, list[str]] = {}
-        for d in spec.declarations:
-            if isinstance(d, ContextDecl) and d.contract.trigger is not None:
-                self._subscribers.setdefault(d.contract.trigger, []).append(d.name)
-            elif isinstance(d, ControllerDecl):
-                self._subscribers.setdefault(d.trigger, []).append(d.name)
-        self._plan: dict[str, _Plan] = {}
-        self._queue: deque[tuple[str, object, frozenset[str]]] = deque()
+        self._plans: dict[str, _Plan] = {}  # every registered component and bound resource
+        self._sources: dict[str, _Plan] = {}  # the bound sources
+        self._queue: deque[tuple[_Plan, object, frozenset[str]]] = deque()
         self._stack: list[_Activation] = []
         self._log: list[tuple[str, TaintedValue]] = []
         self._sealed = False
@@ -190,10 +241,10 @@ class Runtime:
                               f"'{name}' is not a declared context or controller", component=name)
         if impl is None:
             raise KernelError("MISSING_IMPLEMENTATION", f"'{name}' cannot be registered as None")
-        if name in self._impls:
+        if name in self._plans:
             raise KernelError("DUPLICATE_IMPLEMENTATION",
                               f"'{name}' already has an implementation", component=name)
-        self._impls[name] = impl
+        self._plans[name] = _Plan(name, impl, None)
 
     def bind_source(self, name: str, provider) -> None:
         """Attach the platform object answering pulls of source ``name``.
@@ -210,12 +261,16 @@ class Runtime:
 
     def _bind(self, name, obj, decl_cls):
         self._ensure_unsealed()
-        self._decl(name, decl_cls)
+        decl = self._decl(name, decl_cls)
         if obj is None:
             raise KernelError("MISSING_BINDING", f"'{name}' cannot be bound to None")
-        if name in self._resources:
+        if name in self._plans:
             raise KernelError("DUPLICATE_BINDING", f"'{name}' is already bound", component=name)
-        self._resources[name] = obj
+        plan = self._plans[name] = _Plan(name, None, obj)
+        plan.tag = decl.out_type if decl_cls is SourceDecl else decl.in_type
+        plan.accepts, plan.taints = PAYLOAD_CHECKS[plan.tag], frozenset((name,))
+        if decl_cls is SourceDecl:
+            self._sources[name] = plan
 
     def _decl(self, name: str, decl_cls):
         decl = self.spec.find(name)
@@ -226,48 +281,65 @@ class Runtime:
         return decl
 
     def seal(self) -> None:
-        """Freeze the registry once every component is implemented and bound."""
+        """Freeze the registry once every component is implemented and bound, and
+        compile it in one pass over the declarations (see the module docstring)."""
         self._ensure_unsealed()
-        missing_impls = [name for name in self.contracts if name not in self._impls]
-        if missing_impls:
-            err = KernelError("MISSING_IMPLEMENTATION",
-                              "unimplemented components: " + ", ".join(missing_impls))
-            err.names = tuple(missing_impls)
-            raise err
-        missing_bindings = [d.name for d in self.spec.declarations
-                            if isinstance(d, (SourceDecl, ActionDecl)) and d.name not in self._resources]
-        if missing_bindings:
-            err = KernelError("MISSING_BINDING",
-                              "unbound resources: " + ", ".join(missing_bindings))
-            err.names = tuple(missing_bindings)
-            raise err
-        # Activations take payloads unchecked: prove once that each payload type is what its
-        # trigger publishes, and that pulls reach only pull-activated contexts.
-        for trigger, subscribers in self._subscribers.items():
-            c = self.contracts.get(trigger)
-            published = self.spec.find(trigger).out_type if c is None else c.publish_type
-            for sub in subscribers if published else ():  # a trigger that never publishes wakes no one
-                if self.contracts[sub].activation_param is not published:
-                    raise KernelError("CONTRACT_VIOLATION", f"activation value must be {published}, "
-                                      f"the type '{trigger}' publishes", component=sub)
-        for name, c in self.contracts.items():
-            cap = c.capability
-            target = cap and cap.target
-            if target in self.contracts and self.contracts[target].activation_param is not None:
-                raise KernelError("CONTRACT_VIOLATION", f"get target '{target}' is not pull-activated",
-                                  component=name)
-            handles = () if cap is None else ("get",) if cap.kind is CapabilityKind.GET else ("do",)
-            if c.publish is not PublishSpec.NO:
-                handles += ("publish", "nopublish") if c.publish is PublishSpec.MAYBE else ("publish",)
-            self._plan[name] = _Plan(name, self._impls[name], c, self._resources.get(target), handles,
-                                     tuple(self._subscribers.get(name, ())))
+        plans, contracts = self._plans, self.contracts
+        # Plans are keyed by declared names only, so equal counts mean nothing is missing.
+        if len(plans) < len(self.spec.declarations):
+            unbound = [d.name for d in self.spec.declarations
+                       if isinstance(d, (SourceDecl, ActionDecl)) and d.name not in plans]
+            for code, what, missing in (("MISSING_IMPLEMENTATION", "unimplemented components",
+                                         [name for name in contracts if name not in plans]),
+                                        ("MISSING_BINDING", "unbound resources", unbound)):
+                if missing:
+                    err = KernelError(code, f"{what}: " + ", ".join(missing))
+                    err.names = tuple(missing)
+                    raise err
+        subscribers: dict[str, list[_Plan]] = {}  # linked only once the whole pass succeeds
+        for d in self.spec.declarations:
+            if isinstance(d, ContextDecl):
+                trigger = d.contract.trigger
+            elif isinstance(d, ControllerDecl):
+                trigger = d.trigger
+            else:
+                continue
+            plan = plans[d.name]
+            c = plan.contract = contracts[d.name]
+            # Activations take payloads unchecked: prove once that each payload type is what its
+            # trigger publishes, and that pulls reach only pull-activated contexts.
+            if trigger is not None:
+                published = contracts[trigger].publish_type if trigger in contracts else plans[trigger].tag
+                if published is not None:  # a trigger that never publishes wakes no one
+                    if c.activation_param is not published:
+                        raise KernelError("CONTRACT_VIOLATION", f"activation value must be {published}, "
+                                          f"the type '{trigger}' publishes", component=d.name)
+                    subscribers.setdefault(trigger, []).append(plan)
+            handles = ()
+            if c.capability is not None:
+                target = c.capability.target
+                if target in contracts and contracts[target].activation_param is not None:
+                    raise KernelError("CONTRACT_VIOLATION", f"get target '{target}' is not pull-activated",
+                                      component=d.name)
+                plan.target = plans[target]
+                handles = ("get",) if c.capability.kind is _GET else ("do",)
+            if c.publish is not _NO_PUBLISH:
+                handles += ("publish", "nopublish") if c.publish is _MAYBE else ("publish",)
+            out_type = c.publish_type or c.result_type  # a controller neither publishes nor returns
+            plan.ok = None if out_type is None else PAYLOAD_CHECKS[out_type]
+            plan.result, plan.call = c.result, _SHAPES[handles]
+        for name, woken in subscribers.items():
+            plans[name].subscribers = woken
         self._sealed = True
 
     # -- execution ---------------------------------------------------------
 
     def set_source(self, name: str, v: Value) -> None:
         """Update a source's pull value without publishing."""
-        self._call_out("PLATFORM_FAULT", name, "provider", self._checked_source(name, v).set, v)
+        source = self._sources.get(name)
+        if source is None or not source.admits(v):
+            self._checked_source(name, v)
+        self._call_out("PLATFORM_FAULT", name, "provider", source.resource.set, v)
 
     def emit(self, name: str, v: Value) -> None:
         """Publish ``v`` from source ``name`` and run all reactions to quiescence."""
@@ -276,78 +348,33 @@ class Runtime:
         if self._failed:
             raise KernelError("RUNTIME_FAILED",
                               "a previous activation fault poisoned this runtime; no further emits")
-        provider = self._checked_source(name, v)
+        source = self._sources.get(name)
+        if source is None or not source.admits(v):
+            self._checked_source(name, v)
         try:
-            self._call_out("PLATFORM_FAULT", name, "provider", provider.set, v)
-            taints = frozenset((name,))
-            self._queue.extend([(sub, v.payload, taints) for sub in self._subscribers.get(name, ())])
-            while self._queue:
-                self._activate(*self._queue.popleft())
+            self._call_out("PLATFORM_FAULT", name, "provider", source.resource.set, v)
+            queue, payload, taints = self._queue, v.payload, source.taints
+            for subscriber in source.subscribers:
+                queue.append((subscriber, payload, taints))
+            while queue:
+                plan, payload, taints = queue.popleft()
+                plan.run(self, payload, taints)
         except BaseException:
             self._failed = True
             self._queue.clear()
             raise
 
-    def _checked_source(self, name: str, v: Value):
+    def _checked_source(self, name: str, v) -> None:
+        """Raise the entry error of ``v``, which no bound source ``name`` admits."""
         decl = self._decl(name, SourceDecl)
-        provider = self._resources.get(name)
-        if provider is None:
+        if name not in self._sources:
             raise KernelError("MISSING_BINDING", f"source '{name}' has no provider bound", component=name)
-        if not check_value(v, decl.out_type):
-            raise KernelError("TYPE_MISMATCH",
-                              f"source '{name}' carries {decl.out_type}, got {_describe(v)}",
-                              component=name)
-        return provider
+        raise KernelError("TYPE_MISMATCH", f"source '{name}' carries {decl.out_type}, got {_describe(v)}",
+                          component=name)
 
     def action_log(self) -> tuple[tuple[str, TaintedValue], ...]:
         """Every action delivery its sink accepted so far, in delivery order."""
         return tuple(self._log)
-
-    def _activate(self, component: str, payload, taints: frozenset[str]):
-        """Run one activation; a pull-activated context returns ``(payload, taints)``."""
-        plan = self._plan[component]
-        c = plan.contract
-        param = c.activation_param
-        act = _Activation(self, plan, taints)
-        trace = self.trace
-        if trace is not None:
-            value = None if param is None else TaintedValue(Value(param, payload), taints)
-            self._call_out("HOOK_FAULT", component, "trace hook", trace, TraceEvent("activate", component, value))
-        args = [getattr(act, handle) for handle in plan.handles]
-        if param is not None:
-            args.insert(0, payload)
-
-        self._stack.append(act)
-        try:
-            returned = plan.impl(*args)
-        except _ActivationEscape as esc:
-            if esc.args[0] is not act:  # foreign escape: never ours to absorb
-                raise
-            returned = None
-        except Exception as exc:
-            if act.fault is not None:  # recorded on its way out, or swallowed before this exception
-                raise act.fault
-            raise self._record(RuntimeFault("IMPLEMENTATION_PANIC", f"implementation raised "
-                                            f"{type(exc).__name__}: {exc}", component)) from exc
-        finally:
-            self._stack.pop()
-
-        if act.fault is not None:  # a fault the implementation swallowed
-            raise act.fault
-        if c.result is ResultKind.NO_RETURN:
-            if not act.fired:
-                raise self._record(RuntimeFault("NO_CONTINUATION_CALLED", "implementation finished "
-                                                "without publish or nopublish", component))
-            return None
-        if c.result is ResultKind.RETURNS_NOTHING:
-            if returned is not None:
-                raise self._record(RuntimeFault("CONTRACT_VIOLATION", f"controller returned a value "
-                                                f"({returned!r}) but must not", component))
-            return None
-        if not payload_matches(c.result_type, returned):
-            raise self._record(RuntimeFault("CONTRACT_VIOLATION", f"returned value must be "
-                                            f"{c.result_type}, got {returned!r}", component))
-        return returned, act.taints
 
     # -- blame -------------------------------------------------------------
 

@@ -78,6 +78,16 @@ _LITERAL_RE = re.compile(r"""
 _GAP_RE = re.compile(r"\s*")
 
 
+def _int64(digits: str) -> int | None:
+    """The value of a decimal literal, or None outside 64-bit range. The digits are
+    counted first, because ``int`` refuses strings of more than 4,300 of them."""
+    significant = digits.lstrip("-").lstrip("0") or "0"
+    if len(significant) > 19:
+        return None
+    n = -int(significant) if digits[0] == "-" else int(significant)
+    return n if INT64_MIN <= n <= INT64_MAX else None
+
+
 def parse_scenario(text: str, origin: str = "<memory>") -> Scenario:
     steps = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -103,17 +113,19 @@ def parse_scenario(text: str, origin: str = "<memory>") -> Scenario:
             detail = "unterminated string literal"
         elif word:
             value = Value(DataType.BOOL, word == "true")
-        elif number is not None and INT64_MIN <= int(number) <= INT64_MAX:
-            value = Value(DataType.INT, int(number))
+        elif number is not None and (n := _int64(number)) is not None:
+            value = Value(DataType.INT, n)
         elif number is not None:
             detail = "integer literal out of 64-bit range"
         elif width is None:
             detail = "malformed picture literal; expected picture(WxH,seed=N)"
-        elif not INT64_MIN <= int(seed) <= INT64_MAX:
+        elif _int64(seed) is None:
             detail = "picture seed out of 64-bit range"
+        elif _int64(width) is None or _int64(height) is None:
+            detail = "picture dimensions out of 64-bit range"
         else:
             try:
-                value = Value(DataType.PICTURE, PictureData(int(width), int(height), int(seed)))
+                value = Value(DataType.PICTURE, PictureData(_int64(width), _int64(height), _int64(seed)))
             except KernelError as exc:
                 detail = exc.detail
         if value is not None:

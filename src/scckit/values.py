@@ -56,15 +56,17 @@ def overlay(pic: PictureData, text: str) -> PictureData:
     return PictureData(pic.width, pic.height, pic.seed, pic.overlays + (text,))
 
 
+#: The payload check of each type; the runtime looks each up once, at bind or seal.
+PAYLOAD_CHECKS = {
+    DataType.BOOL: lambda p: isinstance(p, bool),
+    DataType.INT: lambda p: isinstance(p, int) and not isinstance(p, bool) and INT64_MIN <= p <= INT64_MAX,
+    DataType.STRING: lambda p: isinstance(p, str),
+    DataType.PICTURE: lambda p: isinstance(p, PictureData),
+}
+
+
 def payload_matches(tag: DataType, payload: object) -> bool:
-    if tag is DataType.BOOL:
-        return isinstance(payload, bool)
-    if tag is DataType.INT:
-        return isinstance(payload, int) and not isinstance(payload, bool) \
-            and INT64_MIN <= payload <= INT64_MAX
-    if tag is DataType.STRING:
-        return isinstance(payload, str)
-    return isinstance(payload, PictureData)
+    return PAYLOAD_CHECKS[tag](payload)
 
 
 def check_value(v: object, tag: DataType) -> bool:

@@ -173,6 +173,76 @@ def random_app(seed: int, wrap=_keep) -> GeneratedApp:
     return GeneratedApp(spec, rt, providers, sinks, dict(sources))
 
 
+class Injected(Exception):
+    pass
+
+
+#: What a corrupted call hands across a boundary: a payload of no declared type.
+WRONG = 1.5
+
+
+class Injector:
+    """Wraps every implementation, provider and sink of an app, and its trace
+    hook, and on the ``at``-th call of one chosen culprit raises from it.
+
+    With ``corrupt`` the culprit instead hands a wrongly typed value across
+    the boundary on that call: an implementation's publish and do handles
+    send ``WRONG`` and its returned value, if any, becomes ``WRONG``; a
+    provider's ``current()`` answers ``WRONG``. Sinks and hooks stay honest.
+    """
+
+    def __init__(self, pick: int, at: int, corrupt: bool = False):
+        self.pick, self.at, self.corrupt = pick, at, corrupt
+        self.wrapped: list[tuple[str, str]] = []
+        self.calls = 0
+        self.blamed = None  # the component the raising call was made for
+
+    @property
+    def culprit(self) -> tuple[str, str]:
+        return self.wrapped[self.pick % len(self.wrapped)]
+
+    def _tick(self, kind, name, blamed) -> bool:
+        """Count a call; True if it is the one that must go wrong and does so by corruption."""
+        if (kind, name) != self.culprit:
+            return False
+        self.calls += 1
+        if self.calls != self.at:
+            return False
+        if not self.corrupt:
+            self.blamed = blamed
+            raise Injected(f"{kind} {name} fails on call {self.at}")
+        return True
+
+    def wrap(self, kind, name, obj):
+        self.wrapped.append((kind, name))
+        tick = self._tick
+        if kind == "provider":
+            class Provider:
+                @staticmethod
+                def set(v):
+                    tick(kind, name, name)
+                    return obj.set(v)
+
+                @staticmethod
+                def current():
+                    return WRONG if tick(kind, name, name) else obj.current()
+            return Provider()
+
+        def call(*args):
+            blamed = args[0].component if kind == "hook" else name  # a hook's event names its component
+            if not tick(kind, name, blamed) or kind != "implementation":
+                return obj(*args)
+            bent = [_bent(a) if callable(a) else a for a in args]
+            returned = obj(*bent)
+            return returned if returned is None else WRONG
+        return call
+
+
+def _bent(handle):
+    """``handle`` with every argument it is given replaced by ``WRONG``."""
+    return lambda *args: handle(*(WRONG for _ in args))
+
+
 def pull_chain(depth: int) -> Specification:
     """One when-provided context P on source S whose get chain R1 -> ... -> R<depth>
     -> S nests ``depth`` when-required contexts; controller C sends P's value to A."""

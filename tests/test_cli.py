@@ -36,6 +36,16 @@ def test_check_missing_file_is_a_usage_error(run_cli, tmp_path):
     assert "missing.scc" in err
 
 
+@pytest.mark.parametrize("command", ["check", "graph"])
+def test_spec_that_is_not_utf8_is_a_usage_error(run_cli, tmp_path, command):
+    spec = tmp_path / "latin1.scc"
+    spec.write_bytes(b"(define-source IP String) ; caf\xe9\n")
+    code, out, err = run_cli(command, str(spec))
+    assert (code, out) == (2, "")
+    assert err == (f"scc: cannot read {spec}: 'utf-8' codec can't decode byte 0xe9 in position 31: "
+                   "invalid continuation byte\n")
+
+
 def test_check_reports_diagnostics_with_positions(run_cli, tmp_path):
     bad = tmp_path / "bad.scc"
     bad.write_text("(define-source Camera Picture)\n(define-source Camera Picture)\n")
@@ -186,6 +196,15 @@ def test_demo_missing_scenario_file(run_cli, tmp_path):
     code, _, err = run_cli("demo", "--scenario", str(tmp_path / "nowhere.scn"))
     assert code == 2
     assert "nowhere.scn" in err
+
+
+def test_demo_scenario_that_is_not_utf8_is_a_usage_error(run_cli, tmp_path):
+    scn = tmp_path / "bad.scn"
+    scn.write_bytes(b'set IP "\xff"\n')
+    code, out, err = run_cli("demo", "--scenario", str(scn))
+    assert (code, out) == (2, "")
+    assert err == (f"scc: cannot read {scn}: 'utf-8' codec can't decode byte 0xff in position 8: "
+                   "invalid start byte\n")
 
 
 def test_demo_trace_shows_activations_and_pulls(run_cli):

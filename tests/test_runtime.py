@@ -26,7 +26,10 @@ from scckit import (
     build_flow_graph,
     build_webcam_app,
     create_runtime,
+    make_picture,
     parse_scenario,
+    render_taints,
+    render_value,
     run_scenario,
     source_ancestors,
     webcam_spec,
@@ -756,53 +759,6 @@ def test_source_emissions_carry_their_own_taint():
     assert first.value.taints == {"S"}
 
 
-class _Injected(Exception):
-    pass
-
-
-class _Injector:
-    """Wraps every implementation, provider and sink of a generated app, and
-    its trace hook, and raises from one chosen culprit on its ``at``-th call."""
-
-    def __init__(self, pick: int, at: int):
-        self.pick, self.at = pick, at
-        self.wrapped: list[tuple[str, str]] = []
-        self.calls = 0
-        self.blamed = None  # the component the raising call was made for
-
-    @property
-    def culprit(self) -> tuple[str, str]:
-        return self.wrapped[self.pick % len(self.wrapped)]
-
-    def _tick(self, kind, name, blamed):
-        if (kind, name) == self.culprit:
-            self.calls += 1
-            if self.calls == self.at:
-                self.blamed = blamed
-                raise _Injected(f"{kind} {name} fails on call {self.at}")
-
-    def wrap(self, kind, name, obj):
-        self.wrapped.append((kind, name))
-        tick = self._tick
-        if kind == "provider":
-            class Provider:
-                @staticmethod
-                def set(v):
-                    tick(kind, name, name)
-                    return obj.set(v)
-
-                @staticmethod
-                def current():
-                    tick(kind, name, name)
-                    return obj.current()
-            return Provider()
-
-        def call(*args):
-            tick(kind, name, args[0].component if kind == "hook" else name)  # a hook's event names its component
-            return obj(*args)
-        return call
-
-
 FAULT_CODES = {"implementation": "IMPLEMENTATION_PANIC", "provider": "PLATFORM_FAULT",
                "sink": "PLATFORM_FAULT", "hook": "HOOK_FAULT"}
 
@@ -810,7 +766,7 @@ FAULT_CODES = {"implementation": "IMPLEMENTATION_PANIC", "provider": "PLATFORM_F
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10_000), pick=st.integers(0, 50), at=st.integers(1, 12))
 def test_injected_faults_poison_the_runtime_and_blame_the_culprit(seed, pick, at):
-    injector = _Injector(pick, at)
+    injector = genspec.Injector(pick, at)
     app = genspec.random_app(seed, wrap=injector.wrap)
     app.runtime.trace = injector.wrap("hook", "trace", lambda event: None)
     try:
@@ -818,7 +774,7 @@ def test_injected_faults_poison_the_runtime_and_blame_the_culprit(seed, pick, at
     except RuntimeFault as fault:
         kind, name = injector.culprit
         assert injector.calls == at
-        assert isinstance(fault.__cause__, _Injected)
+        assert isinstance(fault.__cause__, genspec.Injected)
         assert (fault.code, fault.component) == (FAULT_CODES[kind], injector.blamed)
         # A provider's first call is the set() of drive's presetting set_source,
         # which runs outside any drain and so poisons nothing.
@@ -829,6 +785,88 @@ def test_injected_faults_poison_the_runtime_and_blame_the_culprit(seed, pick, at
     graph = build_flow_graph(app.spec)
     for target, tv in app.runtime.action_log():
         assert tv.taints <= source_ancestors(graph, target)
+
+
+# -- tailored activators ---------------------------------------------------------
+
+# The seven contract shapes: component X's interaction contract (None for a
+# controller) and the handles its implementation receives after the payload.
+SHAPES = {
+    "when-required": (when_required(), ()),
+    "when-required get": (when_required(get="T"), ("get",)),
+    "always_publish": (when_provided("S", PublishSpec.ALWAYS), ("publish",)),
+    "always_publish get": (when_provided("S", PublishSpec.ALWAYS, get="T"), ("get", "publish")),
+    "maybe_publish": (when_provided("S", PublishSpec.MAYBE), ("publish", "nopublish")),
+    "maybe_publish get": (when_provided("S", PublishSpec.MAYBE, get="T"), ("get", "publish", "nopublish")),
+    "controller": (None, ("do",)),
+}
+HANDLE_ARGUMENTS = {"get": (), "do": (5,), "publish": (5,), "nopublish": ()}
+
+
+def _shape_app(contract):
+    """An app in which X has ``contract`` (None: X is a controller on P) and runs once per emit of S."""
+    decls = [SourceDecl("S", INT), SourceDecl("T", INT), ActionDecl("A", INT)]
+    if contract is None:
+        decls += [ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS)), ControllerDecl("X", "P", "A")]
+        return Specification(tuple(decls)), {"P": lambda v, publish: publish(v)}
+    decls.append(ContextDecl("X", INT, contract))
+    if contract.trigger is None:  # pulled by P
+        decls += [ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="X")),
+                  ControllerDecl("C", "P", "A")]
+        return Specification(tuple(decls)), {"P": lambda v, get, publish: publish(get()),
+                                             "C": lambda v, do: do(v)}
+    decls.append(ControllerDecl("C", "X", "A"))
+    return Specification(tuple(decls)), {"C": lambda v, do: do(v)}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_each_shape_gets_exactly_its_contracts_arguments_and_every_handle_goes_stale(shape):
+    contract, handle_names = SHAPES[shape]
+    triggered = contract is None or contract.trigger is not None
+    seen = []
+
+    def x_impl(*args):
+        seen.append(args)
+        handles = dict(zip(handle_names, args[len(args) - len(handle_names):]))
+        value = (args[0] if triggered else 0) + (handles["get"]() if "get" in handles else 0) + 2
+        for name in ("do", "publish"):
+            if name in handles:
+                handles[name](value)
+        return None if triggered else value
+
+    spec, impls = _shape_app(contract)
+    rt, sources, sinks = wire(spec, {**impls, "X": x_impl})
+    sources["T"].set(int_value(10))
+    rt.emit("S", int_value(1))
+    assert sinks["A"].deliveries == [int_value(triggered + 10 * ("get" in handle_names) + 2)]
+    (args,) = seen
+    payload, handles = (args[0], args[1:]) if triggered else (None, args)
+    assert payload == (1 if triggered else None)
+    assert [h.__name__ for h in handles] == list(handle_names)
+    assert len({id(h.__self__) for h in handles}) <= 1  # all bound to one activation
+    for handle in handles:
+        with pytest.raises(RuntimeFault) as err:
+            handle(*HANDLE_ARGUMENTS[handle.__name__])
+        assert (err.value.code, err.value.component) == ("STALE_HANDLE", "X")
+    assert not rt.failed
+
+
+def test_the_sealed_hot_path_looks_up_no_names(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a name was looked up in the specification after seal")
+
+    for trace in (None, []):
+        app = build_webcam_app(trace=None if trace is None else trace.append)
+        monkeypatch.setattr(Specification, "find", refuse)
+        monkeypatch.setattr(Specification, "by_name", refuse)
+        app.runtime.set_source("IP", Value(STRING, "Ads Inc"))
+        app.runtime.emit("Camera", make_picture(640, 480, 7))
+        app.runtime.emit("IP", Value(STRING, "Ads Inc"))
+        ((target, tv),) = app.runtime.action_log()
+        assert f"{target} <- {render_value(tv.value)} taints={render_taints(tv.taints)}" == \
+            'Screen <- picture(640x480,seed=7,overlays=["Ads Inc"]) taints={Camera,IP}'
+        assert trace is None or [ev.kind for ev in trace].count("pull") == 2
+        monkeypatch.undo()
 
 
 # -- tracing -------------------------------------------------------------------

@@ -92,6 +92,16 @@ def test_parse_errors_carry_positions(text, line, col_fragment):
     (f"set IP picture(1x1,seed={INT64_MAX + 1})", 8, "picture seed out of 64-bit range"),
     (f"set IP picture(1x1,seed={INT64_MIN - 1})", 8, "picture seed out of 64-bit range"),
     (f"set IP {INT64_MIN - 1}", 8, "integer literal out of 64-bit range"),
+    pytest.param("set IP " + "9" * 4301, 8, "integer literal out of 64-bit range", id="int-4301-digits"),
+    pytest.param("set IP -" + "1" * 5000, 8, "integer literal out of 64-bit range", id="int-minus-5000-digits"),
+    pytest.param("set IP " + "0" * 5000 + "1x", 5009, "unexpected text after step: 'x'", id="int-zero-padded"),
+    pytest.param(f"set IP picture(1x1,seed={'7' * 4400})", 8, "picture seed out of 64-bit range",
+                 id="seed-4400-digits"),
+    pytest.param(f"set IP picture({'1' * 4400}x1,seed=1)", 8, "picture dimensions out of 64-bit range",
+                 id="width-4400-digits"),
+    pytest.param(f"set IP picture(1x{'2' * 4400},seed=1)", 8, "picture dimensions out of 64-bit range",
+                 id="height-4400-digits"),
+    (f"set IP picture({INT64_MAX + 1}x1,seed=1)", 8, "picture dimensions out of 64-bit range"),
     ("set IP true\xa0x #", 13, "unexpected text after step: 'x #'"),
     ("set IP 12ab", 10, "unexpected text after step: 'ab'"),
 ])
@@ -106,6 +116,13 @@ def test_extreme_literals_parse():
     assert sc.steps == (SetStep("A", Value(DataType.INT, INT64_MIN)),
                         EmitStep("B", make_picture(1, 1, INT64_MAX)),
                         SetStep("C", Value(DataType.STRING, "")))
+
+
+def test_zero_padded_literals_parse_however_long():
+    pad = "0" * 5000
+    sc = parse_scenario(f"set A {pad}42\nset B -{pad}7\nemit C picture({pad}2x{pad}3,seed=-{pad}1)")
+    assert sc.steps == (SetStep("A", Value(DataType.INT, 42)), SetStep("B", Value(DataType.INT, -7)),
+                        EmitStep("C", make_picture(2, 3, -1)))
 
 
 def test_out_of_range_literals_rejected():
@@ -179,6 +196,8 @@ def _parse_literal(line: str, i: int, lineno: int, origin: str) -> tuple[Value, 
         width, height, seed = int(m.group(1)), int(m.group(2)), int(m.group(3))
         if not INT64_MIN <= seed <= INT64_MAX:
             raise _err(origin, lineno, i + 1, "picture seed out of 64-bit range")
+        if not (width <= INT64_MAX and height <= INT64_MAX):
+            raise _err(origin, lineno, i + 1, "picture dimensions out of 64-bit range")
         try:
             return Value(DataType.PICTURE, PictureData(width, height, seed)), m.end()
         except KernelError as exc:
