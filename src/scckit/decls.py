@@ -42,6 +42,11 @@ class PublishSpec(Enum):
     MAYBE = "maybe_publish"
 
 
+# A plain global: in 3.11 EnumType defines __getattr__, which makes every load
+# through the class several times slower.
+_NO_PUBLISH = PublishSpec.NO
+
+
 @dataclass(frozen=True)
 class InteractionContract:
     """How a context is activated and what it may do when it runs.
@@ -58,7 +63,7 @@ class InteractionContract:
 
 
 def when_required(get: str | None = None) -> InteractionContract:
-    return InteractionContract(None, get, PublishSpec.NO)
+    return InteractionContract(None, get, _NO_PUBLISH)
 
 
 def when_provided(trigger: str, publish: PublishSpec, get: str | None = None) -> InteractionContract:
@@ -190,10 +195,10 @@ def validate(spec: Specification) -> list[Diagnostic]:
 def _check_context(i: int, decl: ContextDecl, table: dict[str, Declaration]) -> list[Diagnostic]:
     out = []
     c = decl.contract
-    if c.trigger is None and c.publish is not PublishSpec.NO:
+    if c.trigger is None and c.publish is not _NO_PUBLISH:
         out.append(Diagnostic(i, "BAD_PUBLISH_SPEC",
                               "publish specification is not allowed with when-required activation"))
-    if c.trigger is not None and c.publish is PublishSpec.NO:
+    if c.trigger is not None and c.publish is _NO_PUBLISH:
         out.append(Diagnostic(i, "BAD_PUBLISH_SPEC",
                               "when-provided contexts must declare always_publish or maybe_publish"))
     if c.trigger is not None:

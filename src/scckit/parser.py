@@ -10,6 +10,15 @@ The surface syntax is s-expression flavored:
 
 Comments run from ';' to end of line. Parsing never checks cross-references;
 that is validate()'s job.
+
+``parse`` reads well-formed text with one regex match per declaration, on a
+copy of the text whose comments are blanked to spaces, and builds each
+declaration from the match's groups. Every word of that regex must end where
+a token ends, so it accepts only what the grammar accepts, with the same
+fields. When a declaration does not match, ``parse`` runs the recursive
+descent (``_Parser``) over the tokens of the original text instead: it alone
+spells every positioned ``ParseError``, and it returns the specification if
+the regex was narrower than the grammar.
 """
 
 from __future__ import annotations
@@ -34,6 +43,8 @@ from .errors import ParseError
 _KEYWORDS = ("define-source", "define-action", "define-context", "define-controller")
 _PUNCT = "()[]"
 _TYPE_NAMES = {t.value: t for t in DataType}
+# Plain globals, as in decls and contracts: a load through the Enum class is slow.
+_NO, _ALWAYS, _MAYBE = PublishSpec.NO, PublishSpec.ALWAYS, PublishSpec.MAYBE
 
 
 @dataclass(frozen=True)
@@ -153,7 +164,7 @@ class _Parser:
             if self.peek() == "get":
                 self.advance()
                 get = self.name("component name")
-            return InteractionContract(None, get, PublishSpec.NO)
+            return InteractionContract(None, get, _NO)
         if head[0] == "when-provided":
             trigger = self.name("component name")
             get = None
@@ -162,18 +173,78 @@ class _Parser:
                 get = self.name("component name")
             pub = self.advance()
             if pub[0] == "always_publish":
-                publish = PublishSpec.ALWAYS
+                publish = _ALWAYS
             elif pub[0] == "maybe_publish":
-                publish = PublishSpec.MAYBE
+                publish = _MAYBE
             else:
                 self.fail(pub, f"expected 'always_publish' or 'maybe_publish', found {_describe(pub[0])}")
             return InteractionContract(trigger, get, publish)
         self.fail(head, f"expected 'when-required' or 'when-provided', found {_describe(head[0])}")
 
 
+# The accepting path. Comments are blanked before matching, so a gap is only
+# whitespace. Two words are always parted by \s+, and a word and a bracket by
+# \s*, so every word the regex matches is a whole token, as the tokenizer cuts
+# it. No gap is ever split between two quantifiers, so a failed match reads a
+# gap a bounded number of times: linear in its length.
+_PUBLISH = {"always_publish": _ALWAYS, "maybe_publish": _MAYBE}
+_NAME = f"({NAME_RE.pattern})"
+_TYPE = f"({'|'.join(_TYPE_NAMES)})"
+_GET = rf"(?:\s+get\s+{_NAME})?"
+_DECL_RE = re.compile(
+    rf"\(\s*define-(?:"
+    rf"source\s+{_NAME}\s+{_TYPE}"
+    rf"|action\s+{_NAME}\s+{_TYPE}"
+    rf"|context\s+{_NAME}\s+{_TYPE}\s*\[\s*(?:when-required{_GET}"
+    rf"|when-provided\s+{_NAME}{_GET}\s+({'|'.join(_PUBLISH)}))\s*\]"
+    rf"|controller\s+{_NAME}\s*\[\s*when-provided\s+{_NAME}\s+do\s+{_NAME}\s*\]"
+    r")\s*\)\s*")
+_COMMENT_RE = re.compile(r";[^\n]*")
+
+
+def _blank(m: re.Match) -> str:
+    return " " * (m.end() - m.start())
+
+
+def _scan(text: str) -> Specification | None:
+    """The declarations of ``text``, or None at the first one the regex does not match."""
+    if ";" in text:
+        text = _COMMENT_RE.sub(_blank, text)
+    match, types, end = _DECL_RE.match, _TYPE_NAMES, len(text)
+    decls = []
+    start = end - len(text.lstrip())  # str.isspace() is what \s matches
+    line, line_start, prev = 1, 0, 0
+    while start < end:
+        m = match(text, start)
+        if m is None:
+            return None
+        breaks = text.count("\n", prev, start)
+        if breaks:
+            line += breaks
+            line_start = text.rfind("\n", prev, start) + 1
+        pos, prev = (line, start - line_start + 1), start
+        (source, source_type, action, action_type, context, context_type, required_get,
+         trigger, provided_get, publish, controller, controller_trigger, controller_action) = m.groups()
+        if context is not None:
+            if publish is None:
+                contract = InteractionContract(None, required_get, _NO)
+            else:
+                contract = InteractionContract(trigger, provided_get, _PUBLISH[publish])
+            decls.append(ContextDecl(context, types[context_type], contract, pos=pos))
+        elif source is not None:
+            decls.append(SourceDecl(source, types[source_type], pos=pos))
+        elif action is not None:
+            decls.append(ActionDecl(action, types[action_type], pos=pos))
+        else:
+            decls.append(ControllerDecl(controller, controller_trigger, controller_action, pos=pos))
+        start = m.end()
+    return Specification(tuple(decls))
+
+
 def parse(text: SourceText | str) -> Specification:
     src = text if isinstance(text, SourceText) else SourceText(text)
-    return _Parser(src).specification()
+    spec = _scan(src.content)
+    return spec if spec is not None else _Parser(src).specification()
 
 
 def pretty_print(spec: Specification) -> SourceText:
@@ -194,10 +265,10 @@ def _format_declaration(decl: Declaration) -> str:
 
 def _format_contract(c: InteractionContract) -> str:
     if c.trigger is None:
-        if c.publish is not PublishSpec.NO:
+        if c.publish is not _NO:
             raise ValueError("when-required contract with a publish specification has no written form")
         return "when-required" + (f" get {c.get_target}" if c.get_target else "")
-    if c.publish is PublishSpec.NO:
+    if c.publish is _NO:
         raise ValueError("when-provided contract without a publish specification has no written form")
     words = ["when-provided", c.trigger]
     if c.get_target:

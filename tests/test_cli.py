@@ -89,6 +89,18 @@ def test_check_reports_parse_errors(run_cli, tmp_path):
     assert f"{bad}:1:23: UNKNOWN_TYPE:" in err
 
 
+def test_check_reports_a_parse_error_after_well_formed_declarations(run_cli, tmp_path):
+    bad = tmp_path / "slip.scc"
+    bad.write_text("; two sources, then a slip\n"
+                   "(define-source Camera Picture)  ; frames\n"
+                   "(define-source IP String)       ; ad text\n"
+                   "(define-context MakeAd String\n"
+                   "  [when-required get IP always_publish])\n")
+    code, out, err = run_cli("check", str(bad))
+    assert (code, out) == (1, "")
+    assert err == f"{bad}:5:25: PARSE_ERROR: expected ']', found 'always_publish'\n"
+
+
 def test_graph_dot_to_stdout_matches_golden(run_cli, webcam_scc, golden_dir):
     code, out, err = run_cli("graph", str(webcam_scc), "--format", "dot")
     assert (code, err) == (0, "")

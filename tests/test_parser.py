@@ -1,11 +1,14 @@
 """Surface-syntax tests: examples, error positions, and round-trip laws."""
 
+import random
+import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import genspec
 from scckit import parser
 from scckit import (
     ActionDecl,
@@ -268,14 +271,104 @@ def _outcome(src):
     return spec, [d.pos for d in spec.declarations]
 
 
+_BRACKETS = ("(", ")", "[", "]")
+_token_soup = st.lists(st.sampled_from(_BRACKETS + (";",) + _SPACES + _WORDS), max_size=40).map("".join)
+
+
 @settings(max_examples=500)
-@given(st.one_of(
-    st.lists(st.sampled_from(("(", ")", "[", "]", ";") + _SPACES + _WORDS), max_size=40).map("".join),
-    _spaced_specs(),
-))
+@given(st.one_of(_token_soup, _spaced_specs()))
 def test_tokenizer_and_parser_match_the_character_oracle(text):
     src = SourceText(text)
     assert parser._tokenize(src) == _oracle_tokenize(src)
     got = _outcome(src)
     with mock.patch.object(parser, "_tokenize", _oracle_tokenize):
         assert got == _outcome(src)
+
+
+def _descent_outcome(src):
+    """What the recursive descent alone makes of ``src``, in the form of ``_outcome``."""
+    try:
+        spec = parser._Parser(src).specification()
+    except ParseError as exc:
+        return str(exc)
+    return spec, [d.pos for d in spec.declarations]
+
+
+@settings(max_examples=600)
+@given(st.one_of(_token_soup, _spaced_specs(), st.text(max_size=80)))
+@example("\n (define-source A Int)\r\n\n\t(define-action B Int)")
+def test_parse_matches_the_descent(text):
+    src = SourceText(text, "app.scc")
+    expected = _descent_outcome(src)
+    assert _outcome(src) == expected
+    if not isinstance(expected, str):  # the regex is as wide as the grammar, so the descent never runs here
+        assert parser._scan(text) == expected[0]
+
+
+def _respaced(text, rng):
+    """``text`` with every gap between its tokens redrawn from whitespace,
+    CRLF line ends and comments; a gap next to a bracket may be empty."""
+    gaps = (" ", "  ", "\t", "\n", "\r\n", "\u3000", " ; note\n", ";;\r\n", "\n\n; (define-source X Int)\n")
+    tokens = re.findall(r"[()\[\]]|[^\s()\[\]]+", text)
+    out = [rng.choice(gaps)]
+    for before, token in zip(tokens, tokens[1:]):
+        bracket = before in _BRACKETS or token in _BRACKETS
+        out += [before, "" if bracket and rng.random() < 0.5 else rng.choice(gaps)]
+    out += [tokens[-1], rng.choice(gaps)]
+    return "".join(out)
+
+
+def _large_text(rng):
+    decls = []
+    seed = 0
+    while len(decls) < 1600:
+        decls += genspec.random_app(seed).spec.declarations
+        seed += 1
+    return "; a generated spec\r\n" + _respaced(pretty_print(Specification(tuple(decls))).content, rng)
+
+
+def test_parse_matches_the_descent_at_scale():
+    rng = random.Random(5)
+    text = _large_text(rng)
+    got = _outcome(SourceText(text))
+    assert len(got[0].declarations) >= 1600
+    assert parser._scan(text) == got[0]
+    assert got == _descent_outcome(SourceText(text))
+    # One malformed declaration deep in the file: the same error as the descent.
+    cut = text.index("(define-context", len(text) * 3 // 4)
+    bad = SourceText(text[:cut] + "(define-context 9Bad Int [when-required])" + text[cut:], "big.scc")
+    rendered = _outcome(bad)
+    assert rendered == _descent_outcome(bad)
+    assert rendered.endswith(": PARSE_ERROR: '9Bad' is not a valid component name")
+
+
+@pytest.mark.parametrize("text", [
+    "(define-source A Int)" + ";" * 50,
+    "(define-source A Int)" + ";" * 50 + "\n(",
+    "(define-source A " + ";" * 50,
+    "; note\n" * 20_000 + "(define-source A Int) )",
+    "(define-source A" + " " * 100_000 + "Float)",
+    "(define-context C Int [when-provided A" + " " * 100_000 + "get" + " " * 100_000 + "B ]",
+], ids=["semicolons", "semicolons-then-open", "semicolons-for-a-type", "comment-lines",
+        "spaces-before-a-type", "spaces-around-get"])
+def test_long_gaps_give_the_descents_outcome(text):
+    assert _outcome(SourceText(text)) == _descent_outcome(SourceText(text))
+
+
+@pytest.mark.parametrize("text", [
+    "(define-source A-b Int)",
+    "(define-source 9A Int)",
+    "(define-source A Integer)",
+    "(define-sourceA Int)",
+    "(define-source A Int]",
+    "(define-context C Int [when-requiredget A])",
+    "(define-context C Int [when-required get A-b])",
+    "(define-context C Int [when-provided A getB always_publish])",
+    "(define-context C Int [when-provided A always_publish_])",
+    "(define-context C Int [when-provided A get always_publish])",
+    "(define-controller C [when-provided A doB])",
+    "(define-controller C [when-provided A do B] )x",
+])
+def test_near_misses_are_left_to_the_descent(text):
+    assert parser._scan(text) is None
+    assert isinstance(_outcome(SourceText(text)), str)
