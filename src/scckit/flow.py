@@ -7,9 +7,10 @@ the returned value), and controller commands flow controller -> action.
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from json.encoder import encode_basestring_ascii as _q
+from operator import attrgetter
 
 from .decls import ContextDecl, ControllerDecl, Specification
 from .errors import KernelError
@@ -33,14 +34,28 @@ class FlowGraph:
     nodes: tuple[FlowNode, ...]
     edges: tuple[FlowEdge, ...]
 
-    def __post_init__(self):
-        # Built once, for source_ancestors; not fields, so equality is unchanged.
-        preds: dict[str, list[str]] = {}
+    # Built on first use and kept on the instance; not fields, so equality,
+    # hashing and repr are unchanged.
+    @cached_property
+    def _ancestors(self) -> dict[str, set[str]]:
+        succs: dict[str, list[str]] = {}
         for e in self.edges:
-            preds.setdefault(e.dst, []).append(e.src)
-        object.__setattr__(self, "_preds", preds)
-        object.__setattr__(self, "_names", {n.name for n in self.nodes})
-        object.__setattr__(self, "_sources", {n.name for n in self.nodes if n.kind == "source"})
+            succs.setdefault(e.src, []).append(e.dst)
+        closure: dict[str, set[str]] = {n.name: set() for n in self.nodes}
+        for source in {n.name for n in self.nodes if n.kind == "source"}:
+            reached, stack = {source}, [source]
+            while stack:
+                new = [d for d in succs.get(stack.pop(), ()) if d not in reached]
+                reached.update(new)
+                stack += new
+            for d in reached & closure.keys():
+                closure[d].add(source)
+        return closure
+
+    @cached_property
+    def _sorted(self) -> tuple[list[FlowNode], list[FlowEdge]]:
+        return (sorted(self.nodes, key=attrgetter("name")),
+                sorted(self.edges, key=attrgetter("src", "dst", "kind")))
 
 
 def build_flow_graph(spec: Specification) -> FlowGraph:
@@ -59,39 +74,40 @@ def build_flow_graph(spec: Specification) -> FlowGraph:
 
 
 def source_ancestors(graph: FlowGraph, name: str) -> set[str]:
-    """Sources from which ``name`` is reachable; a source is its own ancestor."""
-    if name not in graph._names:
+    """Sources from which ``name`` is reachable; a source is its own ancestor.
+
+    The first query on a graph walks forward once from every source and keeps
+    the answer for every node, so it costs one walk per source, however few
+    nodes are asked about; later queries are one lookup and a copy."""
+    closure = graph._ancestors
+    if name not in closure:
         raise KernelError("NOT_FOUND", f"'{name}' is not a node of the flow graph", component=name)
-    reached = {name}
-    frontier = deque([name])
-    while frontier:
-        for p in graph._preds.get(frontier.popleft(), ()):
-            if p not in reached:
-                reached.add(p)
-                frontier.append(p)
-    return reached & graph._sources
+    return set(closure[name])
 
 
 _DOT_SHAPES = {"source": "box", "action": "box", "context": "ellipse", "controller": "diamond"}
 
 
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def export_graph(graph: FlowGraph, format: str) -> str:
-    """Deterministic text form of the graph: 'dot' or 'json'."""
-    nodes = sorted(graph.nodes, key=lambda n: n.name)
-    edges = sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind))
+    """Deterministic text form of the graph: 'dot' or 'json'.
+
+    The JSON is written directly, byte-identical to ``json.dumps(indent=2)`` of
+    ``{"nodes": [{"name", "kind"}...], "edges": [{"from", "to", "kind"}...]}``."""
+    nodes, edges = graph._sorted
     if format == "dot":
         lines = ["digraph flow {"]
-        for n in nodes:
-            lines.append(f'  "{n.name}" [shape={_DOT_SHAPES[n.kind]}];')
-        for e in edges:
-            style = ", style=dashed" if e.kind == "pull" else ""
-            lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.kind}"{style}];')
+        lines += [f'  "{n.name}" [shape={_DOT_SHAPES[n.kind]}];' for n in nodes]
+        lines += [f'  "{e.src}" -> "{e.dst}" [label="{e.kind}"{", style=dashed" if e.kind == "pull" else ""}];'
+                  for e in edges]
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":
-        payload = {
-            "nodes": [{"name": n.name, "kind": n.kind} for n in nodes],
-            "edges": [{"from": e.src, "to": e.dst, "kind": e.kind} for e in edges],
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        node_items = [f'    {{\n      "name": {_q(n.name)},\n      "kind": {_q(n.kind)}\n    }}' for n in nodes]
+        edge_items = [f'    {{\n      "from": {_q(e.src)},\n      "to": {_q(e.dst)},\n      "kind": {_q(e.kind)}\n    }}'
+                      for e in edges]
+        return f'{{\n  "nodes": {_json_list(node_items)},\n  "edges": {_json_list(edge_items)}\n}}\n'
     raise ValueError(f"unknown export format {format!r}; expected 'dot' or 'json'")
