@@ -34,28 +34,23 @@ class FlowGraph:
     nodes: tuple[FlowNode, ...]
     edges: tuple[FlowEdge, ...]
 
-    # Built on first use and kept on the instance; not fields, so equality,
-    # hashing and repr are unchanged.
     @cached_property
-    def _ancestors(self) -> dict[str, set[str]]:
+    def _reach(self) -> tuple[set[str], list[tuple[str, set[str]]]]:
+        """Node names, and every source with the names reachable from it; kept on
+        the instance, not as a field, so equality, hashing and repr are unchanged."""
         succs: dict[str, list[str]] = {}
         for e in self.edges:
             succs.setdefault(e.src, []).append(e.dst)
-        closure: dict[str, set[str]] = {n.name: set() for n in self.nodes}
+        reach = []
         for source in {n.name for n in self.nodes if n.kind == "source"}:
             reached, stack = {source}, [source]
             while stack:
-                new = [d for d in succs.get(stack.pop(), ()) if d not in reached]
-                reached.update(new)
-                stack += new
-            for d in reached & closure.keys():
-                closure[d].add(source)
-        return closure
-
-    @cached_property
-    def _sorted(self) -> tuple[list[FlowNode], list[FlowEdge]]:
-        return (sorted(self.nodes, key=attrgetter("name")),
-                sorted(self.edges, key=attrgetter("src", "dst", "kind")))
+                for d in succs.get(stack.pop(), ()):
+                    if d not in reached:
+                        reached.add(d)
+                        stack.append(d)
+            reach.append((source, reached))
+        return {n.name for n in self.nodes}, reach
 
 
 def build_flow_graph(spec: Specification) -> FlowGraph:
@@ -77,15 +72,20 @@ def source_ancestors(graph: FlowGraph, name: str) -> set[str]:
     """Sources from which ``name`` is reachable; a source is its own ancestor.
 
     The first query on a graph walks forward once from every source and keeps
-    the answer for every node, so it costs one walk per source, however few
-    nodes are asked about; later queries are one lookup and a copy."""
-    closure = graph._ancestors
-    if name not in closure:
+    what each walk reached, so it costs one walk per source, however few nodes
+    are asked about; every query then tests ``name`` against each source's set."""
+    names, reach = graph._reach
+    if name not in names:
         raise KernelError("NOT_FOUND", f"'{name}' is not a node of the flow graph", component=name)
-    return set(closure[name])
+    return {source for source, reached in reach if name in reached}
 
 
 _DOT_SHAPES = {"source": "box", "action": "box", "context": "ellipse", "controller": "diamond"}
+
+
+def _sorted(graph: FlowGraph) -> tuple[list[FlowNode], list[FlowEdge]]:
+    return (sorted(graph.nodes, key=attrgetter("name")),
+            sorted(graph.edges, key=attrgetter("src", "dst", "kind")))
 
 
 def _json_list(items: list[str]) -> str:
@@ -97,12 +97,14 @@ def export_graph(graph: FlowGraph, format: str) -> str:
 
     The JSON is written directly, byte-identical to ``json.dumps(indent=2)`` of
     ``{"nodes": [{"name", "kind"}...], "edges": [{"from", "to", "kind"}...]}``."""
-    nodes, edges = graph._sorted
+    nodes, edges = _sorted(graph)
     if format == "dot":
         lines = ["digraph flow {"]
-        lines += [f'  "{n.name}" [shape={_DOT_SHAPES[n.kind]}];' for n in nodes]
-        lines += [f'  "{e.src}" -> "{e.dst}" [label="{e.kind}"{", style=dashed" if e.kind == "pull" else ""}];'
-                  for e in edges]
+        for n in nodes:
+            lines.append(f'  "{n.name}" [shape={_DOT_SHAPES[n.kind]}];')
+        for e in edges:
+            style = ", style=dashed" if e.kind == "pull" else ""
+            lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.kind}"{style}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":

@@ -152,6 +152,15 @@ def test_json_export_matches_json_dumps():
         assert export_graph(graph, "json") == _json_oracle(graph), i
 
 
+def test_exports_order_parallel_edges_by_kind():
+    graph = FlowGraph((FlowNode("B", "context"), FlowNode("A", "source")),
+                      (FlowEdge("A", "B", "pull"), FlowEdge("A", "B", "publish")))
+    assert export_graph(graph, "dot") == (
+        'digraph flow {\n  "A" [shape=box];\n  "B" [shape=ellipse];\n'
+        '  "A" -> "B" [label="publish"];\n  "A" -> "B" [label="pull", style=dashed];\n}\n')
+    assert export_graph(graph, "json") == _json_oracle(graph)
+
+
 def _closure_oracle(graph: FlowGraph):
     """Floyd-Warshall reachability; independent of the walk in the library."""
     names = [n.name for n in graph.nodes]
