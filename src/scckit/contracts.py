@@ -9,7 +9,6 @@ pull-activated contexts return their value; controllers return nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .decls import (
@@ -19,6 +18,7 @@ from .decls import (
     DataType,
     PublishSpec,
     Specification,
+    _record,
     output_type_of,
 )
 from .errors import KernelError
@@ -29,7 +29,7 @@ class CapabilityKind(Enum):
     DO = "do"
 
 
-@dataclass(frozen=True)
+@_record
 class Capability:
     """One granted resource interaction.
 
@@ -49,7 +49,7 @@ class ResultKind(Enum):
     NO_RETURN = "no_return"
 
 
-@dataclass(frozen=True)
+@_record
 class BoundaryContract:
     component: str
     activation_param: DataType | None

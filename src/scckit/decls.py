@@ -10,7 +10,7 @@ returns diagnostics instead of raising.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
 
 from .errors import KernelError
@@ -48,7 +48,32 @@ class PublishSpec(Enum):
 _NO_PUBLISH = PublishSpec.NO
 
 
-@dataclass(frozen=True)
+def _record(cls):
+    """``dataclass(frozen=True, slots=True)`` whose ``__init__`` writes each field once
+    through its slot's member descriptor, then calls ``__post_init__`` if the class has
+    one. A frozen dataclass's own ``__init__`` pays an ``object.__setattr__`` call per
+    field, which is most of the cost of records built in bulk. Fields take positional,
+    keyword and default arguments as in any dataclass, but no ``default_factory``."""
+    doc = cls.__doc__
+    cls.__doc__ = "-"  # without a docstring, dataclass would spell one through the slow inspect.signature
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    ns, params, body = {}, [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING:
+            raise TypeError(f"{cls.__name__}.{f.name}: a record field takes no default_factory")
+        ns[f"_set_{f.name}"], ns[f"_d_{f.name}"] = cls.__dict__[f.name].__set__, f.default
+        params.append(f.name if f.default is MISSING else f"{f.name}=_d_{f.name}")
+        body.append(f"_set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body), ns)
+    cls.__init__ = ns["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__doc__ = doc or f"{cls.__name__}({', '.join(f.name for f in fields(cls))})"
+    return cls
+
+
+@_record
 class InteractionContract:
     """How a context is activated and what it may do when it runs.
 
@@ -74,7 +99,7 @@ def when_provided(trigger: str, publish: PublishSpec, get: str | None = None) ->
 # 'pos' is the (line, col) of the declaration in its source file; it is
 # diagnostic metadata only and never takes part in equality.
 
-@dataclass(frozen=True)
+@_record
 class SourceDecl:
     kind = "source"
     name: str
@@ -82,7 +107,7 @@ class SourceDecl:
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_record
 class ActionDecl:
     kind = "action"
     name: str
@@ -90,7 +115,7 @@ class ActionDecl:
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_record
 class ContextDecl:
     kind = "context"
     name: str
@@ -99,7 +124,7 @@ class ContextDecl:
     pos: tuple[int, int] | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@_record
 class ControllerDecl:
     kind = "controller"
     name: str
@@ -130,7 +155,7 @@ class Specification:
         return self._table.get(name)
 
 
-@dataclass(frozen=True)
+@_record
 class Diagnostic:
     index: int  # position of the offending declaration
     code: str

@@ -7,22 +7,24 @@ the returned value), and controller commands flow controller -> action.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _q
 from operator import attrgetter
 
-from .decls import ContextDecl, ControllerDecl, Specification
+from .decls import ContextDecl, ControllerDecl, Specification, _record
 from .errors import KernelError
 
 
-@dataclass(frozen=True)
+@_record
 class FlowNode:
     name: str
     kind: str  # source | action | context | controller
 
 
-@dataclass(frozen=True)
+@_record
 class FlowEdge:
     src: str
     dst: str
@@ -81,6 +83,20 @@ def source_ancestors(graph: FlowGraph, name: str) -> set[str]:
 
 
 _DOT_SHAPES = {"source": "box", "action": "box", "context": "ellipse", "controller": "diamond"}
+# A backslash or quote, or a line break: whatever str.splitlines splits on.
+_DOT_SPECIAL = re.compile(r'[\\"]|\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
+
+
+def _dot_names(nodes: list[FlowNode], edges: list[FlowEdge]) -> tuple[list[FlowNode], list[FlowEdge]]:
+    r"""The nodes and edges with each name escaped for a DOT string on one line: ``\``
+    as ``\\``, ``"`` as ``\"``, a line break as ``\n``. Names with none of them, as
+    every valid name, are kept as they are, checked in one pass over all the names."""
+    names = "".join(chain(map(attrgetter("name"), nodes), map(attrgetter("src"), edges),
+                          map(attrgetter("dst"), edges)))
+    if names.isprintable() and '"' not in names and "\\" not in names:  # no line break is printable
+        return nodes, edges
+    esc = partial(_DOT_SPECIAL.sub, lambda m: "\\" + m[0] if m[0] in '\\"' else "\\n")
+    return [FlowNode(esc(n.name), n.kind) for n in nodes], [FlowEdge(esc(e.src), esc(e.dst), e.kind) for e in edges]
 
 
 def _sorted(graph: FlowGraph) -> tuple[list[FlowNode], list[FlowEdge]]:
@@ -99,6 +115,7 @@ def export_graph(graph: FlowGraph, format: str) -> str:
     ``{"nodes": [{"name", "kind"}...], "edges": [{"from", "to", "kind"}...]}``."""
     nodes, edges = _sorted(graph)
     if format == "dot":
+        nodes, edges = _dot_names(nodes, edges)
         lines = ["digraph flow {"]
         for n in nodes:
             lines.append(f'  "{n.name}" [shape={_DOT_SHAPES[n.kind]}];')

@@ -7,16 +7,14 @@ runtime ever inspects, so nothing is actually rendered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .decls import DataType
+from .decls import DataType, _record
 from .errors import KernelError
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
+@_record
 class PictureData:
     width: int
     height: int
@@ -30,18 +28,18 @@ class PictureData:
         object.__setattr__(self, "overlays", tuple(self.overlays))
 
 
-@dataclass(frozen=True)
+@_record
 class Value:
     tag: DataType
     payload: object
 
 
-@dataclass(frozen=True)
+@_record
 class TaintedValue:
     """A value plus the set of source names it may derive from."""
 
     value: Value
-    taints: frozenset[str] = field(default_factory=frozenset)
+    taints: frozenset[str] = frozenset()
 
     def __post_init__(self):
         object.__setattr__(self, "taints", frozenset(self.taints))

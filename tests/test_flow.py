@@ -152,6 +152,57 @@ def test_json_export_matches_json_dumps():
         assert export_graph(graph, "json") == _json_oracle(graph), i
 
 
+def _dot_quote_oracle(name: str) -> str:
+    """``name`` as the DOT export quotes it, with line breaks found by ``str.splitlines``."""
+    out = []
+    for piece in name.replace("\\", "\\\\").replace('"', '\\"').splitlines(keepends=True):
+        line = piece.splitlines()[0]
+        out.append(line if line == piece else line + "\\n")
+    return '"' + "".join(out) + '"'
+
+
+def _dot_oracle(graph: FlowGraph) -> str:
+    """The DOT export, one line per node and edge; independent of the emitter in the library."""
+    shapes = {"source": "box", "action": "box", "context": "ellipse", "controller": "diamond"}
+    q = _dot_quote_oracle
+    lines = ["digraph flow {"]
+    lines += [f"  {q(n.name)} [shape={shapes[n.kind]}];" for n in sorted(graph.nodes, key=lambda n: n.name)]
+    for e in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind)):
+        style = ", style=dashed" if e.kind == "pull" else ""
+        lines.append(f'  {q(e.src)} -> {q(e.dst)} [label="{e.kind}"{style}];')
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def test_dot_export_escapes_quotes_backslashes_and_line_breaks():
+    spec = Specification((
+        SourceDecl('a"b', DataType.INT),
+        ContextDecl("C\\", DataType.INT, when_provided('a"b', PublishSpec.ALWAYS)),
+        ControllerDecl("K", "C\\", "x\ny"),
+        ActionDecl("x\ny", DataType.INT),
+    ))
+    assert export_graph(build_flow_graph(spec), "dot") == (
+        'digraph flow {\n'
+        '  "C\\\\" [shape=ellipse];\n'
+        '  "K" [shape=diamond];\n'
+        '  "a\\"b" [shape=box];\n'
+        '  "x\\ny" [shape=box];\n'
+        '  "C\\\\" -> "K" [label="publish"];\n'
+        '  "K" -> "x\\ny" [label="command"];\n'
+        '  "a\\"b" -> "C\\\\" [label="publish"];\n'
+        '}\n')
+
+
+def test_dot_export_matches_oracle_on_one_line_per_node_and_edge():
+    specs = [genspec.random_app(seed).spec for seed in range(20)] + [webcam_spec(), _odd_spec()]
+    graphs = [build_flow_graph(spec) for spec in specs]
+    graphs.append(FlowGraph((FlowNode("x\ny", "source"), FlowNode("p\u2028q\r\n", "action")),
+                            (FlowEdge("x\ny", "p\u2028q\r\n", "command"),)))  # line breaks, no quote
+    for i, graph in enumerate(graphs):
+        text = export_graph(graph, "dot")
+        assert text == _dot_oracle(graph), i
+        assert len(text.splitlines()) == 2 + len(graph.nodes) + len(graph.edges), i
+
+
 def test_exports_order_parallel_edges_by_kind():
     graph = FlowGraph((FlowNode("B", "context"), FlowNode("A", "source")),
                       (FlowEdge("A", "B", "pull"), FlowEdge("A", "B", "publish")))

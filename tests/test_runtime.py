@@ -22,6 +22,7 @@ from scckit import (
     ScriptedSource,
     SourceDecl,
     Specification,
+    TaintedValue,
     Value,
     build_flow_graph,
     build_webcam_app,
@@ -510,6 +511,28 @@ def test_delivery_is_logged_only_after_the_sink_takes_it():
     with pytest.raises(RuntimeFault):
         rt.emit("S", int_value(7))
     assert [(target, tv.value) for target, tv in rt.action_log()] == [("A", int_value(2))]
+
+
+def test_action_log_builds_its_entries_when_read():
+    def sink(value):
+        if value.payload > 5:
+            raise OSError("screen unplugged")
+
+    events = []
+    rt = create_runtime(CHAIN)
+    for name, impl in chain_impls().items():
+        rt.register(name, impl)
+    rt.bind_source("S", ScriptedSource())
+    rt.bind_action("A", sink)
+    rt.seal()
+    rt.trace = events.append
+    rt.emit("S", int_value(1))
+    with pytest.raises(RuntimeFault):
+        rt.emit("S", int_value(7))  # the sink refuses 8: nothing is logged
+    first, second = rt.action_log(), rt.action_log()
+    assert first == second == (("A", TaintedValue(int_value(2), frozenset({"S"}))),)
+    assert type(first[0][1]) is TaintedValue and first[0][1] is not second[0][1]
+    assert [type(ev.value) for ev in events] == [TaintedValue] * 4  # P and C, twice
 
 
 @pytest.mark.parametrize("swallow", [False, True])
