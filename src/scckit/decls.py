@@ -49,11 +49,9 @@ _NO_PUBLISH = PublishSpec.NO
 
 
 def _record(cls):
-    """``dataclass(frozen=True, slots=True)`` whose ``__init__`` writes each field once
-    through its slot's member descriptor, then calls ``__post_init__`` if the class has
-    one. A frozen dataclass's own ``__init__`` pays an ``object.__setattr__`` call per
-    field, which is most of the cost of records built in bulk. Fields take positional,
-    keyword and default arguments as in any dataclass, but no ``default_factory``."""
+    """``dataclass(frozen=True, slots=True)`` whose ``__init__`` sets each field through its
+    slot's descriptor, not by an ``object.__setattr__`` call per field, then calls any
+    ``__post_init__``. Fields take no ``default_factory``."""
     doc = cls.__doc__
     cls.__doc__ = "-"  # without a docstring, dataclass would spell one through the slow inspect.signature
     cls = dataclass(frozen=True, slots=True, init=False)(cls)

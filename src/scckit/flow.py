@@ -7,10 +7,8 @@ the returned value), and controller commands flow controller -> action.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from functools import cached_property, partial
-from itertools import chain
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _q
 from operator import attrgetter
 
@@ -83,20 +81,15 @@ def source_ancestors(graph: FlowGraph, name: str) -> set[str]:
 
 
 _DOT_SHAPES = {"source": "box", "action": "box", "context": "ellipse", "controller": "diamond"}
-# A backslash or quote, or a line break: whatever str.splitlines splits on.
-_DOT_SPECIAL = re.compile(r'[\\"]|\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]')
+# Each character that would end a DOT string or line gets its own escape, so distinct
+# names stay distinct: a backslash, a quote and each line break str.splitlines knows.
+_DOT_ESCAPES = str.maketrans({c: c.encode("unicode_escape").decode() for c in "\\\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+                             | {'"': '\\"'})
 
 
-def _dot_names(nodes: list[FlowNode], edges: list[FlowEdge]) -> tuple[list[FlowNode], list[FlowEdge]]:
-    r"""The nodes and edges with each name escaped for a DOT string on one line: ``\``
-    as ``\\``, ``"`` as ``\"``, a line break as ``\n``. Names with none of them, as
-    every valid name, are kept as they are, checked in one pass over all the names."""
-    names = "".join(chain(map(attrgetter("name"), nodes), map(attrgetter("src"), edges),
-                          map(attrgetter("dst"), edges)))
-    if names.isprintable() and '"' not in names and "\\" not in names:  # no line break is printable
-        return nodes, edges
-    esc = partial(_DOT_SPECIAL.sub, lambda m: "\\" + m[0] if m[0] in '\\"' else "\\n")
-    return [FlowNode(esc(n.name), n.kind) for n in nodes], [FlowEdge(esc(e.src), esc(e.dst), e.kind) for e in edges]
+def _dot_quote(name: str) -> str:
+    """``name`` escaped for a DOT string on one line; every valid name, an identifier, is unchanged."""
+    return name if name.isidentifier() else name.translate(_DOT_ESCAPES)
 
 
 def _sorted(graph: FlowGraph) -> tuple[list[FlowNode], list[FlowEdge]]:
@@ -115,13 +108,12 @@ def export_graph(graph: FlowGraph, format: str) -> str:
     ``{"nodes": [{"name", "kind"}...], "edges": [{"from", "to", "kind"}...]}``."""
     nodes, edges = _sorted(graph)
     if format == "dot":
-        nodes, edges = _dot_names(nodes, edges)
         lines = ["digraph flow {"]
         for n in nodes:
-            lines.append(f'  "{n.name}" [shape={_DOT_SHAPES[n.kind]}];')
+            lines.append(f'  "{_dot_quote(n.name)}" [shape={_DOT_SHAPES[n.kind]}];')
         for e in edges:
             style = ", style=dashed" if e.kind == "pull" else ""
-            lines.append(f'  "{e.src}" -> "{e.dst}" [label="{e.kind}"{style}];')
+            lines.append(f'  "{_dot_quote(e.src)}" -> "{_dot_quote(e.dst)}" [label="{e.kind}"{style}];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "json":

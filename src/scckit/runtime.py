@@ -167,7 +167,7 @@ class _Activation:
                                           f"{target.tag}, got {payload!r}", self.plan.name))
         v = Value(target.tag, payload)
         rt._call_out("PLATFORM_FAULT", target.name, "sink", target.resource, v)
-        rt._log.append((target.name, v, self.taints))
+        rt._log.append((target.name, TaintedValue(v, self.taints)))
 
     def publish(self, payload):
         self._fire()
@@ -214,7 +214,7 @@ class Runtime:
         self._sources: dict[str, _Plan] = {}  # the bound sources
         self._queue: deque[tuple[_Plan, object, frozenset[str]]] = deque()
         self._stack: list[_Activation] = []
-        self._log: list[tuple[str, Value, frozenset[str]]] = []  # (action, value, taints)
+        self._log: list[tuple[str, TaintedValue]] = []
         self._sealed = False
         self._failed = False
         self.trace = None  # optional callable(TraceEvent), platform-side
@@ -373,9 +373,8 @@ class Runtime:
                           component=name)
 
     def action_log(self) -> tuple[tuple[str, TaintedValue], ...]:
-        """Every action delivery its sink accepted so far, in delivery order; its
-        ``TaintedValue``s are built here, on each call, not on the delivery path."""
-        return tuple((action, TaintedValue(v, taints)) for action, v, taints in self._log)
+        """Every action delivery its sink accepted so far, in delivery order."""
+        return tuple(self._log)
 
     # -- blame -------------------------------------------------------------
 

@@ -153,11 +153,16 @@ def test_json_export_matches_json_dumps():
 
 
 def _dot_quote_oracle(name: str) -> str:
-    """``name`` as the DOT export quotes it, with line breaks found by ``str.splitlines``."""
+    """``name`` as the DOT export quotes it: each line break that ``str.splitlines`` knows
+    gets its own escape, as a backslash and a quote do."""
     out = []
-    for piece in name.replace("\\", "\\\\").replace('"', '\\"').splitlines(keepends=True):
-        line = piece.splitlines()[0]
-        out.append(line if line == piece else line + "\\n")
+    for c in name:
+        if c in '\\"':
+            out.append("\\" + c)
+        elif c.splitlines() != [c]:
+            out.append({"\n": "\\n", "\r": "\\r"}.get(c) or (f"\\x{ord(c):02x}" if ord(c) < 0x100 else f"\\u{ord(c):04x}"))
+        else:
+            out.append(c)
     return '"' + "".join(out) + '"'
 
 
@@ -195,12 +200,15 @@ def test_dot_export_escapes_quotes_backslashes_and_line_breaks():
 def test_dot_export_matches_oracle_on_one_line_per_node_and_edge():
     specs = [genspec.random_app(seed).spec for seed in range(20)] + [webcam_spec(), _odd_spec()]
     graphs = [build_flow_graph(spec) for spec in specs]
-    graphs.append(FlowGraph((FlowNode("x\ny", "source"), FlowNode("p\u2028q\r\n", "action")),
-                            (FlowEdge("x\ny", "p\u2028q\r\n", "command"),)))  # line breaks, no quote
+    # Line breaks and no quote; the first two names differ only in their line break.
+    graphs.append(FlowGraph((FlowNode("x\ny", "source"), FlowNode("x\ry", "source"), FlowNode("p\u2028q\r\n", "action")),
+                            (FlowEdge("x\ny", "p\u2028q\r\n", "command"), FlowEdge("x\ry", "p\u2028q\r\n", "command"))))
     for i, graph in enumerate(graphs):
         text = export_graph(graph, "dot")
         assert text == _dot_oracle(graph), i
-        assert len(text.splitlines()) == 2 + len(graph.nodes) + len(graph.edges), i
+        lines = text.splitlines()
+        assert len(lines) == 2 + len(graph.nodes) + len(graph.edges), i
+        assert len(set(lines)) == len(lines), i  # distinct names stay distinct
 
 
 def test_exports_order_parallel_edges_by_kind():
