@@ -8,7 +8,8 @@ taints accumulate per activation and ride along on every outgoing value.
 Each value is checked once, where untrusted code hands it in. ``seal`` proves
 that activation payload types agree with what triggers publish, links each
 component to the plans it wakes and reaches, and fixes its entry checks and
-its contract shape's call: no activation reads a contract or looks up a name.
+its shape code: ``_Plan.run`` calls the implementation directly, by one of
+seven calls, so no activation reads a contract or looks up a name.
 
 A single engine instance is single-threaded. Capability and continuation
 handles are the bound methods of one activation; calling one after it ends
@@ -26,6 +27,7 @@ from .errors import KernelError, RuntimeFault
 from .values import PAYLOAD_CHECKS, TaintedValue, Value
 
 _NO_TAINTS: frozenset[str] = frozenset()
+_new = object.__new__
 
 
 class _ActivationEscape(BaseException):
@@ -45,16 +47,16 @@ class _Plan:
     """One declaration as registered or bound, then sealed. A source or action has its
     provider or sink, type (``tag``), that type's check and its taint; a component
     has its implementation, contract, result kind, capability ``target`` plan, the
-    check ``ok`` of what it publishes or returns, and its shape's ``call``. Plans
+    check ``ok`` of what it publishes or returns, and its ``shape`` code. Plans
     link to the ``subscribers`` they wake but never back to their runtime, so a
     dropped runtime is freed at once, without the cycle collector."""
 
-    __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "contract", "result", "call",
+    __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "contract", "result", "shape",
                  "target", "ok", "subscribers")
 
     def __init__(self, name: str, impl, resource):
         self.name, self.impl, self.resource = name, impl, resource
-        self.call, self.subscribers = None, ()
+        self.subscribers = ()
 
     def admits(self, v) -> bool:
         """Whether ``v`` is a ``Value`` of this source's or action's type."""
@@ -63,16 +65,30 @@ class _Plan:
     def run(self, rt: Runtime, payload, taints: frozenset[str]):
         """The activator: run this context or controller once in ``rt``. A
         pull-activated context returns ``(payload, taints)``."""
-        act = _Activation(rt, self, taints)
+        act = _new(_Activation)  # filled in place: no __init__ frame on the hot path
+        act.rt, act.plan, act.taints, act.fired, act.fault = rt, self, taints, False, None
         trace = rt.trace
         if trace is not None:
             param = self.contract.activation_param
             value = None if param is None else TaintedValue(Value(param, payload), taints)
             rt._call_out("HOOK_FAULT", self.name, "trace hook", trace, TraceEvent("activate", self.name, value))
-        stack = rt._stack
+        stack, shape, impl = rt._stack, self.shape, self.impl
         stack.append(act)
-        try:
-            returned = self.call(self.impl, act, payload)
+        try:  # the call of this contract's shape (see _SHAPES)
+            if shape == 0:
+                returned = impl(act.get)
+            elif shape == 1:
+                returned = impl(payload, act.publish)
+            elif shape == 2:
+                returned = impl(payload, act.do)
+            elif shape == 3:
+                returned = impl(payload, act.get, act.publish, act.nopublish)
+            elif shape == 4:
+                returned = impl(payload, act.get, act.publish)
+            elif shape == 5:
+                returned = impl(payload, act.publish, act.nopublish)
+            else:
+                returned = impl()
         except _ActivationEscape as esc:
             if esc.args[0] is not act:  # foreign escape: never ours to absorb
                 raise
@@ -102,30 +118,20 @@ class _Plan:
         return None
 
 
-# The seven contract shapes, keyed by the handles the contract grants. Each call
-# hands an implementation exactly its arguments: the payload if any, then those.
-_SHAPES = {
-    (): lambda impl, act, payload: impl(),  # when-required
-    ("get",): lambda impl, act, payload: impl(act.get),  # when-required with get
-    ("publish",): lambda impl, act, payload: impl(payload, act.publish),
-    ("get", "publish"): lambda impl, act, payload: impl(payload, act.get, act.publish),
-    ("publish", "nopublish"): lambda impl, act, payload: impl(payload, act.publish, act.nopublish),
-    ("get", "publish", "nopublish"):
-        lambda impl, act, payload: impl(payload, act.get, act.publish, act.nopublish),
-    ("do",): lambda impl, act, payload: impl(payload, act.do),  # controller
-}
+# The seven contract shapes, keyed by the handles the contract grants, and the codes
+# ``_Plan.run`` tests in order: pulled contexts, publishers and controllers first. Each
+# call hands an implementation exactly its arguments: the payload if any, then those handles.
+_SHAPES = {("get",): 0, ("publish",): 1, ("do",): 2, ("get", "publish", "nopublish"): 3,
+           ("get", "publish"): 4, ("publish", "nopublish"): 5, (): 6}
 
 
 class _Activation:
     """One run of one component. Its bound methods ``get``, ``do``, ``publish``
     and ``nopublish`` are the handles its implementation receives, so every
-    handle belongs to exactly one activation and dies with it."""
+    handle belongs to exactly one activation and dies with it. Only ``_Plan.run``
+    makes one, and fills its slots itself."""
 
     __slots__ = ("rt", "plan", "taints", "fired", "fault")  # fired: a continuation has taken effect
-
-    def __init__(self, rt: Runtime, plan: _Plan, taints: frozenset[str]):
-        self.rt, self.plan, self.taints = rt, plan, taints
-        self.fired, self.fault = False, None
 
     def _live(self):
         """A handle works only while its activation runs on top, and not after a fault."""
@@ -140,7 +146,7 @@ class _Activation:
         self._live()
         rt, plan = self.rt, self.plan
         target, v = plan.target, None
-        if target.call is not None:  # a pull-activated context
+        if target.impl is not None:  # a pull-activated context
             payload, taints = target.run(rt, None, _NO_TAINTS)
         else:
             v = rt._call_out("PLATFORM_FAULT", target.name, "provider", target.resource.current)
@@ -156,7 +162,9 @@ class _Activation:
             v = Value(plan.contract.capability.value_type, payload) if v is None else v
             rt._call_out("HOOK_FAULT", plan.name, "trace hook", trace,
                          TraceEvent("pull", plan.name, TaintedValue(v, taints), target=target.name))
-        self.taints |= taints
+        mine = self.taints
+        if not taints <= mine:  # no copy when either side is empty or the pull adds nothing
+            self.taints = mine | taints if mine else taints
         return payload
 
     def do(self, payload):
@@ -185,8 +193,10 @@ class _Activation:
         raise _ActivationEscape(self)
 
     def _fire(self):
-        self._live()
-        if self.fired:
+        """``_live``, inlined, for a continuation, which takes effect once."""
+        stack = self.rt._stack
+        if not stack or stack[-1] is not self or self.fault is not None or self.fired:
+            self._live()  # raises STALE_HANDLE or the fault, if either comes first
             raise self.rt._record(RuntimeFault("DOUBLE_CONTINUATION", "a continuation was already "
                                                "invoked in this activation", self.plan.name))
         self.fired = True
@@ -327,7 +337,7 @@ class Runtime:
                 handles += ("publish", "nopublish") if c.publish is _MAYBE else ("publish",)
             out_type = c.publish_type or c.result_type  # a controller neither publishes nor returns
             plan.ok = None if out_type is None else PAYLOAD_CHECKS[out_type]
-            plan.result, plan.call = c.result, _SHAPES[handles]
+            plan.result, plan.shape = c.result, _SHAPES[handles]
         for name, woken in subscribers.items():
             plans[name].subscribers = woken
         self._sealed = True

@@ -25,7 +25,8 @@ class PictureData:
         if self.width < 1 or self.height < 1:
             raise KernelError("BAD_DIMENSIONS",
                               f"picture dimensions must be at least 1x1, got {self.width}x{self.height}")
-        object.__setattr__(self, "overlays", tuple(self.overlays))
+        if type(self.overlays) is not tuple:
+            object.__setattr__(self, "overlays", tuple(self.overlays))
 
 
 @_record
@@ -42,7 +43,8 @@ class TaintedValue:
     taints: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "taints", frozenset(self.taints))
+        if type(self.taints) is not frozenset:
+            object.__setattr__(self, "taints", frozenset(self.taints))
 
 
 def make_picture(width: int, height: int, seed: int) -> Value:

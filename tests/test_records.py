@@ -133,13 +133,31 @@ def test_records_keep_their_checks():
     with pytest.raises(KernelError) as err:
         PictureData(0, 6, 1)
     assert err.value.code == "BAD_DIMENSIONS"
-    with pytest.raises(KernelError):
+    with pytest.raises(KernelError) as err:
         dataclasses.replace(PictureData(8, 6, 1), height=0)
+    assert err.value.code == "BAD_DIMENSIONS"
     assert PictureData(8, 6, 1, ["a", "b"]).overlays == ("a", "b")
     assert PictureData(width=8, height=6, seed=1, overlays=["a"]).overlays == ("a",)
     tv = TaintedValue(Value(INT, 1), {"B", "A"})
     assert type(tv.taints) is frozenset and tv.taints == {"A", "B"}
     assert type(dataclasses.replace(tv, taints={"C"}).taints) is frozenset
+
+
+def test_records_keep_an_exact_frozenset_or_tuple_and_convert_the_rest():
+    overlays, taints = ("a", "b"), frozenset({"A", "B"})
+    pic = PictureData(8, 6, 1, overlays)
+    assert pic.overlays is overlays
+    assert dataclasses.replace(pic, seed=2).overlays is overlays
+    assert TaintedValue(Value(INT, 1), taints).taints is taints
+    assert TaintedValue(Value(INT, 1)).taints is TaintedValue(Value(INT, 2)).taints  # the default
+    for given in (["a", "b"], (text for text in "ab")):
+        built = PictureData(8, 6, 1, given)
+        assert type(built.overlays) is tuple and built.overlays == overlays
+    for given in ({"A", "B"}, ["B", "A"]):
+        tv = TaintedValue(Value(INT, 1), given)
+        assert type(tv.taints) is frozenset and tv.taints == taints
+    converted = dataclasses.replace(pic, overlays=["c"])
+    assert type(converted.overlays) is tuple and converted.overlays == ("c",)
 
 
 def test_bulk_records_have_no_instance_dict():

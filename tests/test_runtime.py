@@ -321,6 +321,26 @@ def test_deepest_valid_pull_chain_runs_with_a_hook_attached():
     assert [ev.kind for ev in events].count("pull") == MAX_PULL_DEPTH + 1
 
 
+def test_each_pull_level_costs_three_interpreter_frames():
+    """The get handle, the pulled plan's run and the implementation: no trampoline
+    between the plan and the implementation it calls (see ``decls.MAX_PULL_DEPTH``)."""
+    depth, frames = 5, {}
+
+    def level(i):
+        def impl(get):
+            frames[i] = len(inspect.stack(0))
+            return get() + 1
+        return impl
+
+    impls = {f"R{i}": level(i) for i in range(1, depth + 1)}
+    impls.update(P=lambda v, get, publish: publish(get()), C=lambda v, do: do(v))
+    rt, _, sinks = wire(genspec.pull_chain(depth), impls)
+    rt.set_source("S", int_value(0))
+    rt.emit("S", int_value(0))
+    assert sinks["A"].deliveries == [int_value(depth)]
+    assert [frames[i + 1] - frames[i] for i in range(1, depth)] == [3] * (depth - 1)
+
+
 def test_get_capability_takes_no_arguments():
     grabbed = []
     spec = Specification((
@@ -735,29 +755,83 @@ def test_stale_handle_after_activation_ends():
     assert err.value.code == "STALE_HANDLE"
 
 
+# P pulls R and may publish; C sends what P publishes to A. Between them they hold all four handles.
+LENDING = Specification((
+    SourceDecl("S", INT),
+    ActionDecl("A", INT),
+    ContextDecl("R", INT, when_required()),
+    ContextDecl("P", INT, when_provided("S", PublishSpec.MAYBE, get="R")),
+    ControllerDecl("C", "P", "A"),
+))
+
+
 def test_handle_borrowed_by_another_activation_is_stale():
-    stash = []
-    spec = Specification((
-        SourceDecl("S", INT),
-        ActionDecl("A", INT),
-        ContextDecl("R", INT, when_required()),
-        ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="R")),
-        ControllerDecl("C", "P", "A"),
-    ))
+    """R, pulled by P, calls a handle of P's live activation (get, publish or nopublish)
+    or, on the second emit, the do handle of C's ended one."""
+    for borrowed, owner in (("get", "P"), ("publish", "P"), ("nopublish", "P"), ("do", "C")):
+        stash = {}
 
-    def p_impl(v, get, publish):
-        stash.append(publish)
-        get()
-        publish(v)
+        def p_impl(v, get, publish, nopublish):
+            stash.update(get=get, publish=publish, nopublish=nopublish)
+            get()
+            publish(v)
 
-    def r_impl():
-        stash[0](123)  # another component's continuation
-        return 0
+        def c_impl(v, do):
+            stash["do"] = do
+            do(v)
 
-    rt, _, _ = wire(spec, {"P": p_impl, "R": r_impl, "C": lambda v, do: do(v)})
-    with pytest.raises(RuntimeFault) as err:
-        rt.emit("S", int_value(1))
-    assert err.value.code == "STALE_HANDLE"
+        def r_impl():
+            if borrowed in stash:
+                stash[borrowed](*HANDLE_ARGUMENTS[borrowed])  # another component's handle
+            return 0
+
+        rt, _, sinks = wire(LENDING, {"P": p_impl, "R": r_impl, "C": c_impl})
+        if borrowed == "do":
+            rt.emit("S", int_value(1))  # C stashes its do handle, then its activation ends
+        with pytest.raises(RuntimeFault) as err:
+            rt.emit("S", int_value(2))
+        assert (err.value.code, err.value.component) == ("STALE_HANDLE", owner), borrowed
+        assert sinks["A"].deliveries == [int_value(1)] * (borrowed == "do")
+
+
+def test_every_handle_raises_the_swallowed_fault_again():
+    """Once an implementation has caught its activation's fault, each of its handles
+    raises that first fault again, and so does the activation."""
+    for culprit, first in (("R", ("IMPLEMENTATION_PANIC", "R")), ("A", ("PLATFORM_FAULT", "A"))):
+        caught = []
+
+        def swallow(*calls):
+            for call in calls:
+                with pytest.raises(RuntimeFault) as err:
+                    call()
+                caught.append(err.value)
+
+        def r_impl():
+            if culprit == "R":
+                raise OSError("R down")
+            return 0
+
+        def sink(v):
+            if culprit == "A":
+                raise OSError("A down")
+
+        def p_impl(v, get, publish, nopublish):
+            if culprit != "R":
+                publish(get())
+            swallow(get, get, lambda: publish(v), nopublish)
+
+        rt = create_runtime(LENDING)
+        rt.register("R", r_impl)
+        rt.register("P", p_impl)
+        rt.register("C", lambda v, do: swallow(lambda: do(v), lambda: do(v), lambda: do(v)))
+        rt.bind_source("S", ScriptedSource())
+        rt.bind_action("A", sink)
+        rt.seal()
+        with pytest.raises(RuntimeFault) as err:
+            rt.emit("S", int_value(1))
+        assert (err.value.code, err.value.component) == first
+        assert len(caught) == 4 - (culprit == "A") and all(fault is err.value for fault in caught)
+        assert rt.failed
 
 
 # -- determinism and the taint invariant --------------------------------------
