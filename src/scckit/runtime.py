@@ -3,8 +3,11 @@
 Implementations never see the engine: each one is called with exactly the
 arguments its boundary contract grants, in a fixed order — activation
 payload, resource capability (a get or do handle), then the publish /
-no-publish continuations. Publishing is a non-returning control transfer;
-taints accumulate per activation and ride along on every outgoing value.
+no-publish continuations. Publishing is a non-returning control transfer:
+a continuation raises ``_ActivationEscape``, unless ``seal`` has seen that the
+implementation returns right after every call of it (``_tail_params``); then
+it returns. Taints accumulate per activation and ride along on every
+outgoing value.
 Each value is checked once, where untrusted code hands it in. ``seal`` proves
 that activation payload types agree with what triggers publish, links each
 component to the plans it wakes and reaches, and fixes its entry checks and
@@ -18,8 +21,12 @@ is a fault.
 
 from __future__ import annotations
 
+import dis
+import functools
+import sys
 from collections import deque
 from dataclasses import dataclass
+from types import FunctionType
 
 from .contracts import _GET, _MAYBE, _NO_PUBLISH, _NO_RETURN, _RETURNS_VALUE, derive_all
 from .decls import ActionDecl, ContextDecl, ControllerDecl, SourceDecl, Specification, validate
@@ -31,8 +38,9 @@ _new = object.__new__
 
 
 class _ActivationEscape(BaseException):
-    """Internal control transfer raised by continuations, with the activation
-    it leaves as its one argument. Never catch it."""
+    """Internal control transfer raised by a continuation that its implementation
+    might outlive, with the activation it leaves as its one argument. Never catch
+    it: one raised again outside its activation is the raiser's own panic."""
 
 
 @dataclass
@@ -47,12 +55,13 @@ class _Plan:
     """One declaration as registered or bound, then sealed. A source or action has its
     provider or sink, type (``tag``), that type's check and its taint; a component
     has its implementation, contract, result kind, capability ``target`` plan, the
-    check ``ok`` of what it publishes or returns, and its ``shape`` code. Plans
+    check ``ok`` of what it publishes or returns, its ``shape`` code and, if it
+    publishes, whether its ``publish`` and ``nopublish`` return. Plans
     link to the ``subscribers`` they wake but never back to their runtime, so a
     dropped runtime is freed at once, without the cycle collector."""
 
     __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "contract", "result", "shape",
-                 "target", "ok", "subscribers")
+                 "target", "ok", "subscribers", "publish_returns", "nopublish_returns")
 
     def __init__(self, name: str, impl, resource):
         self.name, self.impl, self.resource = name, impl, resource
@@ -90,8 +99,11 @@ class _Plan:
             else:
                 returned = impl()
         except _ActivationEscape as esc:
-            if esc.args[0] is not act:  # foreign escape: never ours to absorb
-                raise
+            if not esc.args or esc.args[0] is not act:  # another activation's escape, raised again
+                if act.fault is not None:
+                    raise act.fault
+                raise rt._record(RuntimeFault("IMPLEMENTATION_PANIC", "implementation raised the escape "
+                                              "of another activation's continuation", self.name)) from None
             returned = None
         except Exception as exc:
             if act.fault is not None:  # recorded on its way out, or swallowed before this exception
@@ -186,10 +198,14 @@ class _Activation:
         append, taints = self.rt._queue.append, self.taints
         for subscriber in plan.subscribers:
             append((subscriber, payload, taints))
+        if plan.publish_returns:  # the implementation returns right after this call
+            return
         raise _ActivationEscape(self)
 
     def nopublish(self):
         self._fire()
+        if self.plan.nopublish_returns:
+            return
         raise _ActivationEscape(self)
 
     def _fire(self):
@@ -335,6 +351,10 @@ class Runtime:
                 handles = ("get",) if c.capability.kind is _GET else ("do",)
             if c.publish is not _NO_PUBLISH:
                 handles += ("publish", "nopublish") if c.publish is _MAYBE else ("publish",)
+                # Which continuations return (see _tail_params): the payload comes first, nopublish last.
+                tails = _tail_params(plan.impl.__code__) if type(plan.impl) is FunctionType else ()
+                plan.publish_returns = handles.index("publish") + 1 in tails
+                plan.nopublish_returns = c.publish is _MAYBE and len(handles) in tails
             out_type = c.publish_type or c.result_type  # a controller neither publishes nor returns
             plan.ok = None if out_type is None else PAYLOAD_CHECKS[out_type]
             plan.result, plan.shape = c.result, _SHAPES[handles]
@@ -405,6 +425,49 @@ class Runtime:
         except Exception as exc:
             raise self._record(RuntimeFault(code, f"{party} raised {type(exc).__name__}: {exc}",
                                             component)) from exc
+
+
+_JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
+
+
+@functools.lru_cache(maxsize=1024)
+def _tail_params(code) -> frozenset[int]:
+    """The positional parameters of a function's ``code`` that it only ever calls, each
+    time as a tail call: it returns right after the call. A continuation passed there
+    returns instead of raising ``_ActivationEscape``, since the function does nothing
+    more either way. Whatever the rule does not recognise keeps the raise, including
+    any ``try`` or ``with``, and all bytecode but CPython 3.11's, which it reads. A
+    generator or coroutine needs no test: its body never runs inside its activation."""
+    if sys.version_info[:2] != (3, 11) or code.co_exceptiontable:
+        return frozenset()
+    ops = list(dis.get_instructions(code))
+    return frozenset(i for i, name in enumerate(code.co_varnames[:code.co_argcount])
+                     if name not in code.co_cellvars and _tail_calls_only(ops, name))
+
+
+def _tail_calls_only(ops, name: str) -> bool:
+    """Whether each use of local ``name`` in ``ops`` is a call that the function returns right after."""
+    for i, op in enumerate(ops):
+        if op.opcode not in dis.haslocal or op.argval != name:
+            continue
+        if op.opname != "LOAD_FAST":  # stored or deleted
+            return False
+        depth = 1  # stack slots from the loaded local up
+        for j in range(i + 1, len(ops)):
+            if ops[j].opcode in _JUMPS:
+                return False
+            if depth == 1 and ops[j].opname == "CALL":  # the call of the local itself
+                break
+            depth += dis.stack_effect(ops[j].opcode, ops[j].arg)
+            # Only that call's PRECALL may leave nothing above the local. Any other op that does
+            # took it, or a copy of it, as an operand: an argument, a walrus, a subscript.
+            if depth < 2 and ops[j].opname != "PRECALL":
+                return False
+        after = [(o.opname, o.argval) for o in ops[j + 1:j + 4]]  # none if the walk found no call
+        if after[:1] != [("RETURN_VALUE", None)] and after != [("POP_TOP", None), ("LOAD_CONST", None),
+                                                                ("RETURN_VALUE", None)]:
+            return False
+    return True
 
 
 def create_runtime(spec: Specification) -> Runtime:

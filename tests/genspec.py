@@ -78,26 +78,62 @@ def _required_impl(rng, out_t, has_get):
     return lambda get: convert(get(), out_t)
 
 
-def _provided_impl(rng, out_t, has_get, pub):
+def _provided_step(rng, out_t, has_get, pub):
+    """What a when-provided context does with its payload and, if it has one, its get
+    handle: the value it publishes, or None where it calls nopublish instead."""
     flavors = ["const", "pass"] + (["mix"] if has_get else [])
     flavor = rng.choice(flavors)
     c = const_of(rng, out_t)
     gate = rng.randrange(2, 4) if pub is PublishSpec.MAYBE else None
 
+    def step(payload, get):
+        if gate is not None and convert(payload, DataType.INT) % gate == 0:
+            return None
+        if flavor == "const":
+            return c
+        if flavor == "pass":
+            return convert(payload, out_t)
+        return mix(convert(payload, out_t), convert(get(), out_t), out_t)
+
+    return step
+
+
+def _provided_impl(step, has_get):
+    """``step`` behind one ``*rest`` parameter: every continuation raises its escape."""
     def impl(payload, *rest):
         handles = list(rest)
         get = handles.pop(0) if has_get else None
-        publish = handles[0]
-        nopublish = handles[1] if gate is not None else None
-        if gate is not None and convert(payload, DataType.INT) % gate == 0:
-            nopublish()
-        if flavor == "const":
-            publish(c)
-        elif flavor == "pass":
-            publish(convert(payload, out_t))
-        else:
-            publish(mix(convert(payload, out_t), convert(get(), out_t), out_t))
+        out = step(payload, get)
+        if out is None:
+            handles[1]()
+        handles[0](out)
 
+    return impl
+
+
+def tail_form(step, has_get: bool, maybe: bool):
+    """``step`` behind named parameters, calling each continuation as a tail call, so
+    that every continuation returns. ``impl.step`` is the step and ``impl.rebuild(s)``
+    builds the same form around another step ``s``."""
+    if has_get and maybe:
+        def impl(payload, get, publish, nopublish):
+            out = step(payload, get)
+            if out is None:
+                return nopublish()
+            publish(out)
+    elif has_get:
+        def impl(payload, get, publish):
+            return publish(step(payload, get))
+    elif maybe:
+        def impl(payload, publish, nopublish):
+            out = step(payload, None)
+            if out is None:
+                nopublish()
+            else:
+                publish(out)
+    else:
+        impl = lambda payload, publish: publish(step(payload, None))
+    impl.step, impl.rebuild = step, lambda other: tail_form(other, has_get, maybe)
     return impl
 
 
@@ -122,10 +158,13 @@ def _keep(kind: str, name: str, obj):
     return obj
 
 
-def random_app(seed: int, wrap=_keep) -> GeneratedApp:
+def random_app(seed: int, wrap=_keep, tail: bool = False) -> GeneratedApp:
     """Generate, wire and seal an app. ``wrap(kind, name, obj)`` may replace
     each implementation, provider and sink (kinds "implementation",
-    "provider", "sink") before it is registered or bound."""
+    "provider", "sink") before it is registered or bound. With ``tail``, every
+    when-provided context takes its handles as named parameters and calls its
+    continuations as tail calls (see ``tail_form``); the app is otherwise the
+    one ``seed`` gives without it."""
     rng = random.Random(seed)
     decls: list = []
     impls: dict = {}
@@ -150,7 +189,9 @@ def random_app(seed: int, wrap=_keep) -> GeneratedApp:
         get = rng.choice(pullable + [None])
         pub = rng.choice((PublishSpec.ALWAYS, PublishSpec.MAYBE))
         decls.append(ContextDecl(name, t, when_provided(trigger, pub, get)))
-        impls[name] = _provided_impl(rng, t, get is not None, pub)
+        step = _provided_step(rng, t, get is not None, pub)
+        impls[name] = (tail_form(step, get is not None, pub is PublishSpec.MAYBE) if tail
+                       else _provided_impl(step, get is not None))
         provided.append(name)
 
     for i in range(rng.randint(0, 2)):
@@ -214,6 +255,7 @@ class Injector:
         return True
 
     def wrap(self, kind, name, obj):
+        """``obj`` wrapped; a ``tail_form`` implementation is rebuilt around its wrapped step."""
         self.wrapped.append((kind, name))
         tick = self._tick
         if kind == "provider":
@@ -228,14 +270,16 @@ class Injector:
                     return WRONG if tick(kind, name, name) else obj.current()
             return Provider()
 
+        inner = getattr(obj, "step", obj)
+
         def call(*args):
             blamed = args[0].component if kind == "hook" else name  # a hook's event names its component
             if not tick(kind, name, blamed) or kind != "implementation":
-                return obj(*args)
+                return inner(*args)
             bent = [_bent(a) if callable(a) else a for a in args]
-            returned = obj(*bent)
+            returned = inner(*bent)
             return returned if returned is None else WRONG
-        return call
+        return call if inner is obj else obj.rebuild(call)
 
 
 def _bent(handle):
@@ -253,6 +297,18 @@ def pull_chain(depth: int) -> Specification:
           for i in range(1, depth + 1)),
         ContextDecl("P", DataType.INT, when_provided("S", PublishSpec.ALWAYS, "R1")),
         ControllerDecl("C", "P", "A"),
+    ))
+
+
+def publish_chain(length: int) -> Specification:
+    """Source S wakes P1, each P<i> wakes P<i + 1>, and controller C sends what
+    P<length> publishes to A."""
+    return Specification((
+        SourceDecl("S", DataType.INT),
+        ActionDecl("A", DataType.INT),
+        *(ContextDecl(f"P{i}", DataType.INT, when_provided(f"P{i - 1}" if i > 1 else "S", PublishSpec.ALWAYS))
+          for i in range(1, length + 1)),
+        ControllerDecl("C", f"P{length}", "A"),
     ))
 
 

@@ -91,7 +91,7 @@ def _genspec_steps(app, seed):
     return calls
 
 
-def _implementations(seed):
+def _implementations(seed, tail=False):
     impls = {}
 
     def keep(kind, name, obj):
@@ -99,14 +99,15 @@ def _implementations(seed):
             impls[name] = obj
         return obj
 
-    return genspec.random_app(seed, wrap=keep), impls
+    return genspec.random_app(seed, wrap=keep, tail=tail), impls
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=500, deadline=None)  # about 250 each way
 @given(seed=st.integers(0, 10_000), pick=st.integers(0, 50), at=st.integers(1, 12),
-       fault=st.sampled_from(["none", "raise", "corrupt"]))
-def test_kernel_agrees_with_the_reference_on_generated_apps(seed, pick, at, fault):
-    app, impls = _implementations(seed)
+       fault=st.sampled_from(["none", "raise", "corrupt"]), tail=st.booleans())
+def test_kernel_agrees_with_the_reference_on_generated_apps(seed, pick, at, fault, tail):
+    """``tail`` apps run their continuations by return, the others by escape."""
+    app, impls = _implementations(seed, tail)
     steps = _genspec_steps(app, seed)
     _agree(app.spec, impls, steps, pick, at if fault != "none" else 10**9, fault == "corrupt")
 

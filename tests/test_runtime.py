@@ -1,7 +1,11 @@
 """Engine semantics: registry, sealing, dispatch, contracts, taints, handles."""
 
+import contextlib
 import dataclasses
+import functools
 import inspect
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -403,6 +407,156 @@ def test_publish_does_not_return_to_the_body():
     assert sinks["A"].deliveries == [int_value(1)]
 
 
+# -- tail-call continuations --------------------------------------------------
+
+# The rule that lets a continuation return reads CPython 3.11 bytecode; elsewhere every one raises.
+TAIL_RULE = sys.version_info[:2] == (3, 11)
+
+
+@pytest.fixture
+def escapes(monkeypatch):
+    """The component of each escape a continuation raises, in order."""
+    raised = []
+
+    class Counting(scckit.runtime._ActivationEscape):
+        def __init__(self, act):
+            super().__init__(act)
+            raised.append(act.plan.name)
+
+    monkeypatch.setattr(scckit.runtime, "_ActivationEscape", Counting)
+    return raised
+
+
+MAYBE_CHAIN = Specification((
+    SourceDecl("S", INT),
+    ActionDecl("A", INT),
+    ContextDecl("P", INT, when_provided("S", PublishSpec.MAYBE)),
+    ControllerDecl("C", "P", "A"),
+))
+
+
+def _def(body):
+    """P's implementation with ``body``, which returns at once, with no continuation, for 0.
+    ``after`` records code that ran past a continuation, ``stash`` handles that outlive it."""
+    source = "def impl(v, publish, nopublish):\n    if v == 0:\n        return\n" + textwrap.indent(body, "    ")
+
+    def make(after, stash):
+        def helper(handle, x):
+            stash.append(handle)
+            handle(x)
+            after.append(x)
+
+        scope = {"after": after, "stash": stash, "helper": helper, "contextlib": contextlib}
+        exec(source, scope)
+        return scope["impl"]
+    return make
+
+
+def _starred(v, *handles):
+    if v != 0:
+        handles[0](v)
+
+
+def _with_extra(extra, v, publish, nopublish):
+    if v != 0:
+        publish(v)
+
+
+class _Impl:
+    def method(self, v, publish, nopublish):
+        if v != 0:
+            publish(v)
+
+    __call__ = method
+
+
+# Whether each form's publish returns under TAIL_RULE, and the form.
+TAIL_FORMS = {
+    "the last statement": (True, _def("publish(v)")),
+    "return publish(v)": (True, _def("return publish(v)")),
+    "a lambda": (True, lambda after, stash: lambda v, publish, nopublish: v and publish(v)),
+    "beside a non-tail nopublish": (True, _def("if v < 0:\n    nopublish()\npublish(v)")),
+    "code after the call": (False, _def("publish(v)\nafter.append(v)\nnopublish()")),
+    "a call in a loop": (False, _def("for x in (v, v):\n    publish(x)")),
+    "try/except": (False, _def("try:\n    publish(v)\nexcept Exception:\n    after.append(v)")),
+    "try/finally": (False, _def("try:\n    publish(v)\nfinally:\n    pass")),
+    "with": (False, _def("with contextlib.nullcontext():\n    publish(v)")),
+    "passed to a helper": (False, _def("helper(publish, v)")),
+    "stored": (False, _def("p = publish\np(v)")),
+    "closed over": (False, _def("call = lambda x: publish(x)\nstash.append(call)\ncall(v)")),
+    "deleted": (False, _def("if v < 0:\n    del publish\n    return nopublish()\nreturn publish(v)")),
+    "publish(publish(v))": (False, _def("publish(publish(v))")),
+    "a conditional argument": (False, _def("publish(v if v > 0 else -v)")),
+    "a walrus on the handle": (False, _def("return (t := publish)(helper(t, v))")),
+    "a jump in a helper's argument": (False, _def("return helper(publish, v + (0 if v else 1))")),
+    "a conditional around the call": (False, lambda after, stash: lambda v, publish, nopublish:
+                                      publish(v) if v else None),  # a jump joins the return
+    "*args": (False, lambda after, stash: _starred),
+    "functools.partial": (False, lambda after, stash: functools.partial(_with_extra, None)),
+    "a bound method": (False, lambda after, stash: _Impl().method),
+    "a callable object": (False, lambda after, stash: _Impl()),
+}
+
+
+@pytest.mark.parametrize("form", TAIL_FORMS)
+def test_publish_returns_only_where_the_implementation_returns_right_after_it(form, escapes):
+    """A continuation that raised before raises still: the body never runs past it, and
+    DOUBLE_CONTINUATION, NO_CONTINUATION_CALLED and STALE_HANDLE come as before."""
+    returns, make = TAIL_FORMS[form]
+    after, stash = [], []
+    rt, _, sinks = wire(MAYBE_CHAIN, chain_impls(P=make(after, stash)))
+    rt.emit("S", int_value(1))
+    rt.emit("S", int_value(2))
+    assert sinks["A"].deliveries == [int_value(1), int_value(2)]  # no DOUBLE_CONTINUATION
+    assert escapes == ([] if returns and TAIL_RULE else ["P", "P"])
+    assert after == []
+    for handle in stash:
+        with pytest.raises(RuntimeFault) as err:
+            handle(5)
+        assert (err.value.code, err.value.component) == ("STALE_HANDLE", "P")
+    assert not rt.failed
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(0))
+    assert (err.value.code, err.value.component) == ("NO_CONTINUATION_CALLED", "P")
+
+
+def test_a_generator_body_never_runs_inside_its_activation(escapes):
+    """So the tail rule need not refuse generators: their handles are stale before the
+    body could call them."""
+    rt, _, sinks = wire(MAYBE_CHAIN, chain_impls(P=_def("publish(v)\nif v < 0:\n    yield")([], [])))
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(1))
+    assert (err.value.code, err.value.component) == ("NO_CONTINUATION_CALLED", "P")
+    assert sinks["A"].deliveries == [] and escapes == []
+
+
+@pytest.mark.skipif(not TAIL_RULE, reason="every continuation raises off CPython 3.11")
+def test_continuations_raise_only_where_code_could_follow_them(escapes):
+    """The webcam app raises one escape per frame withheld for an empty ad (its
+    nopublish), and none otherwise; chains of tail lambdas raise none."""
+    app = build_webcam_app()
+    expected = []
+    for seed, ad in enumerate(["Ads Inc", "", "x", ""]):
+        app.runtime.set_source("IP", Value(STRING, ad))
+        for _ in range(3):
+            app.runtime.emit("Camera", make_picture(8, 8, seed))
+            expected += ["ComposeDisplay"] * (ad == "")
+    assert escapes == expected and len(app.screen.deliveries) == 6
+
+    escapes.clear()
+    impls = {f"P{i}": lambda v, publish: publish(v + 1) for i in range(1, 6)}
+    rt, _, sinks = wire(genspec.publish_chain(5), {**impls, "C": lambda v, do: do(v)})
+    impls = {f"R{i}": lambda get: get() + 1 for i in range(1, 6)}
+    pulled, _, pulled_sinks = wire(genspec.pull_chain(5), {
+        **impls, "P": lambda v, get, publish: publish(get()), "C": lambda v, do: do(v)})
+    for n in range(3):
+        rt.emit("S", int_value(n))
+        pulled.emit("S", int_value(n))
+    assert sinks["A"].deliveries == [int_value(n + 5) for n in range(3)]
+    assert pulled_sinks["A"].deliveries == sinks["A"].deliveries
+    assert escapes == []
+
+
 # -- boundary checks ----------------------------------------------------------
 
 def test_published_value_is_type_checked():
@@ -688,6 +842,49 @@ def test_forged_fault_is_the_implementations_own_panic():
     assert (err.value.code, err.value.component) == ("IMPLEMENTATION_PANIC", "P")
     assert err.value.__cause__ is forged
     assert rt.failed
+
+
+# S wakes P, which always publishes; C1 and C2 both send what P publishes to A.
+FAN_OUT = Specification((
+    SourceDecl("S", INT),
+    ActionDecl("A", INT),
+    ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS)),
+    ControllerDecl("C1", "P", "A"),
+    ControllerDecl("C2", "P", "A"),
+))
+
+
+@pytest.mark.parametrize("replayer", ["P", "C1", "forger"])
+def test_replayed_escape_is_the_panic_of_the_component_that_raises_it(replayer):
+    """P keeps the escape its publish raised; P raises it again on the next emit, or C1
+    raises it in the same drain, while C2 still waits in the queue. A forger's C1 raises
+    an escape it made itself."""
+    kept = [scckit.runtime._ActivationEscape()] if replayer == "forger" else []
+
+    def keeper(v, publish):
+        if kept and replayer == "P":
+            raise kept[0]
+        try:
+            publish(v)
+        except BaseException as escape:
+            kept.append(escape)
+            raise
+
+    def c1(v, do):
+        if replayer != "P":
+            raise kept[0]
+        do(v)
+
+    rt, _, sinks = wire(FAN_OUT, {"P": keeper, "C1": c1, "C2": lambda v, do: do(v)})
+    if replayer == "P":
+        rt.emit("S", int_value(1))
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(2))
+    blamed = "P" if replayer == "P" else "C1"
+    assert str(err.value) == (f"IMPLEMENTATION_PANIC [{blamed}]: implementation raised the escape "
+                              "of another activation's continuation")
+    assert rt.failed and not rt._queue
+    assert sinks["A"].deliveries == [int_value(1)] * 2 * (replayer == "P")
 
 
 def test_provider_answer_of_wrong_type_blames_the_puller():
