@@ -9,38 +9,19 @@ taint tracking.
 
 import importlib
 
-from .contracts import (
-    BoundaryContract,
-    Capability,
-    CapabilityKind,
-    ResultKind,
-    derive_all,
-    derive_contract,
-    render_contract,
-)
-from .decls import (
-    ActionDecl,
-    ContextDecl,
-    ControllerDecl,
-    DataType,
-    Declaration,
-    Diagnostic,
-    InteractionContract,
-    PublishSpec,
-    SourceDecl,
-    Specification,
-    output_type_of,
-    validate,
-    when_provided,
-    when_required,
-)
-from .errors import KernelError, ParseError, RuntimeFault
-from .flow import FlowEdge, FlowGraph, FlowNode, build_flow_graph, export_graph, source_ancestors
-from .parser import SourceText, parse, pretty_print
-
-# `scc check` and `scc graph` never need the runtime side, so its names load
-# on first use (PEP 562); `from scckit import X` works the same either way.
-_LAZY = {
+# Every export, by the module that defines it. `import scckit` loads the static
+# side, the first five modules. `scc check` and `scc graph` never need the runtime
+# side, so its names load on first use (PEP 562); `from scckit import X` works the
+# same either way.
+_EXPORTS = {
+    "errors": ("KernelError", "ParseError", "RuntimeFault"),
+    "decls": ("ActionDecl", "ContextDecl", "ControllerDecl", "DataType", "Declaration", "Diagnostic",
+              "InteractionContract", "PublishSpec", "SourceDecl", "Specification", "output_type_of", "validate",
+              "when_provided", "when_required"),
+    "parser": ("SourceText", "parse", "pretty_print"),
+    "contracts": ("BoundaryContract", "Capability", "CapabilityKind", "ResultKind", "derive_all",
+                  "derive_contract", "render_contract"),
+    "flow": ("FlowEdge", "FlowGraph", "FlowNode", "build_flow_graph", "export_graph", "source_ancestors"),
     "runtime": ("Runtime", "TraceEvent", "create_runtime"),
     "scenario": ("EmitStep", "RecordingSink", "Scenario", "ScriptedSource", "SetStep",
                  "format_scenario", "parse_scenario", "run_scenario"),
@@ -48,11 +29,15 @@ _LAZY = {
                "render_taints", "render_value"),
     "webcam": ("DEFAULT_SCENARIO", "WEBCAM_SPEC", "WebcamApp", "build_webcam_app", "webcam_spec"),
 }
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+for _module in ("errors", "decls", "parser", "contracts", "flow"):
+    _static = importlib.import_module(f".{_module}", __name__)
+    globals().update((name, getattr(_static, name)) for name in _EXPORTS[_module])
+del _module, _static
 
 
 def __getattr__(name: str):
-    if name in _LAZY:
+    if name in _EXPORTS:
         return importlib.import_module(f".{name}", __name__)
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -61,17 +46,8 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY, *_HOME})
+    return sorted({*globals(), *_EXPORTS, *_HOME})
 
 
 __version__ = "0.1.0"
-
-# The eager names imported above and the lazy ones, in code-point order.
-__all__ = sorted([
-    "BoundaryContract", "Capability", "CapabilityKind", "ResultKind", "derive_all", "derive_contract",
-    "render_contract", "ActionDecl", "ContextDecl", "ControllerDecl", "DataType", "Declaration", "Diagnostic",
-    "InteractionContract", "PublishSpec", "SourceDecl", "Specification", "output_type_of", "validate",
-    "when_provided", "when_required", "KernelError", "ParseError", "RuntimeFault", "FlowEdge", "FlowGraph",
-    "FlowNode", "build_flow_graph", "export_graph", "source_ancestors", "SourceText", "parse", "pretty_print",
-    *_HOME,
-])
+__all__ = sorted(_HOME)

@@ -18,6 +18,8 @@ from .decls import (
     DataType,
     PublishSpec,
     Specification,
+    _MAYBE,
+    _NO_PUBLISH,
     _record,
     output_type_of,
 )
@@ -27,6 +29,8 @@ from .errors import KernelError
 class CapabilityKind(Enum):
     GET = "get"
     DO = "do"
+
+    __hash__ = object.__hash__  # as in DataType: seal looks contract shapes up by member
 
 
 @_record
@@ -60,9 +64,7 @@ class BoundaryContract:
     result_type: DataType | None = None
 
 
-# Members as plain globals, here and in the runtime's seal and hot path: in 3.11
-# EnumType defines __getattr__, which makes every load through the class several times slower.
-_GET, _DO, _NO_PUBLISH, _MAYBE = CapabilityKind.GET, CapabilityKind.DO, PublishSpec.NO, PublishSpec.MAYBE
+_GET, _DO = CapabilityKind.GET, CapabilityKind.DO  # plain globals: see decls._NO_PUBLISH
 _RETURNS_VALUE, _RETURNS_NOTHING = ResultKind.RETURNS_VALUE, ResultKind.RETURNS_NOTHING
 _NO_RETURN = ResultKind.NO_RETURN
 

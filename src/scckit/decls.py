@@ -42,10 +42,12 @@ class PublishSpec(Enum):
     ALWAYS = "always_publish"
     MAYBE = "maybe_publish"
 
+    __hash__ = object.__hash__  # as in DataType: seal looks contract shapes up by member
 
-# A plain global: in 3.11 EnumType defines __getattr__, which makes every load
-# through the class several times slower.
-_NO_PUBLISH = PublishSpec.NO
+
+# Plain globals for Enum members, here and in contracts, for other modules to import: in 3.11
+# EnumType defines __getattr__, which makes every load through the class several times slower.
+_NO_PUBLISH, _ALWAYS, _MAYBE = PublishSpec.NO, PublishSpec.ALWAYS, PublishSpec.MAYBE
 
 
 def _record(cls):

@@ -20,6 +20,11 @@ class KernelError(Exception):
             return f"{self.code} [{self.component}]: {self.detail}"
         return f"{self.code}: {self.detail}"
 
+    def __reduce__(self):
+        # Copy and pickle rebuild the error from its fields, not through __init__, whose
+        # parameters differ from its ``args`` and from class to class.
+        return Exception.__new__, (type(self), *self.args), self.__dict__
+
 
 class ParseError(KernelError):
     """Positioned syntax error. Line and column are 1-based."""

@@ -34,17 +34,18 @@ from .decls import (
     DataType,
     Declaration,
     InteractionContract,
-    PublishSpec,
     SourceDecl,
     Specification,
+    _ALWAYS,
+    _MAYBE,
+    _NO_PUBLISH,
 )
 from .errors import ParseError
 
 _KEYWORDS = ("define-source", "define-action", "define-context", "define-controller")
 _PUNCT = "()[]"
 _TYPE_NAMES = {t.value: t for t in DataType}
-# Plain globals, as in decls and contracts: a load through the Enum class is slow.
-_NO, _ALWAYS, _MAYBE = PublishSpec.NO, PublishSpec.ALWAYS, PublishSpec.MAYBE
+_PUBLISH = {"always_publish": _ALWAYS, "maybe_publish": _MAYBE}
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ class _Parser:
             if self.peek() == "get":
                 self.advance()
                 get = self.name("component name")
-            return InteractionContract(None, get, _NO)
+            return InteractionContract(None, get, _NO_PUBLISH)
         if head[0] == "when-provided":
             trigger = self.name("component name")
             get = None
@@ -172,13 +173,9 @@ class _Parser:
                 self.advance()
                 get = self.name("component name")
             pub = self.advance()
-            if pub[0] == "always_publish":
-                publish = _ALWAYS
-            elif pub[0] == "maybe_publish":
-                publish = _MAYBE
-            else:
+            if pub[0] not in _PUBLISH:
                 self.fail(pub, f"expected 'always_publish' or 'maybe_publish', found {_describe(pub[0])}")
-            return InteractionContract(trigger, get, publish)
+            return InteractionContract(trigger, get, _PUBLISH[pub[0]])
         self.fail(head, f"expected 'when-required' or 'when-provided', found {_describe(head[0])}")
 
 
@@ -187,7 +184,6 @@ class _Parser:
 # \s*, so every word the regex matches is a whole token, as the tokenizer cuts
 # it. No gap is ever split between two quantifiers, so a failed match reads a
 # gap a bounded number of times: linear in its length.
-_PUBLISH = {"always_publish": _ALWAYS, "maybe_publish": _MAYBE}
 _NAME = f"({NAME_RE.pattern})"
 _TYPE = f"({'|'.join(_TYPE_NAMES)})"
 _GET = rf"(?:\s+get\s+{_NAME})?"
@@ -227,7 +223,7 @@ def _scan(text: str) -> Specification | None:
          trigger, provided_get, publish, controller, controller_trigger, controller_action) = m.groups()
         if context is not None:
             if publish is None:
-                contract = InteractionContract(None, required_get, _NO)
+                contract = InteractionContract(None, required_get, _NO_PUBLISH)
             else:
                 contract = InteractionContract(trigger, provided_get, _PUBLISH[publish])
             decls.append(ContextDecl(context, types[context_type], contract, pos=pos))
@@ -265,10 +261,10 @@ def _format_declaration(decl: Declaration) -> str:
 
 def _format_contract(c: InteractionContract) -> str:
     if c.trigger is None:
-        if c.publish is not _NO:
+        if c.publish is not _NO_PUBLISH:
             raise ValueError("when-required contract with a publish specification has no written form")
         return "when-required" + (f" get {c.get_target}" if c.get_target else "")
-    if c.publish is _NO:
+    if c.publish is _NO_PUBLISH:
         raise ValueError("when-provided contract without a publish specification has no written form")
     words = ["when-provided", c.trigger]
     if c.get_target:

@@ -8,8 +8,10 @@ a continuation raises ``_ActivationEscape``, unless ``seal`` has seen that the
 implementation returns right after every call of it (``_tail_params``); then
 it returns. Taints accumulate per activation and ride along on every
 outgoing value.
-Each value is checked once, where untrusted code hands it in. ``seal`` proves
-that activation payload types agree with what triggers publish, links each
+Each value is checked once, where untrusted code hands it in. ``validate``
+and ``derive_all`` prove that each activation payload type is what its
+trigger publishes and that each pull reaches a source or a when-required
+context; ``seal`` relies on that and does not check it again. It links each
 component to the plans it wakes and reaches, and fixes its entry checks and
 its shape code: ``_Plan.run`` calls the implementation directly, by one of
 seven calls, so no activation reads a contract or looks up a name.
@@ -26,10 +28,11 @@ import functools
 import sys
 from collections import deque
 from dataclasses import dataclass
-from types import FunctionType
+from types import FunctionType, MappingProxyType
 
-from .contracts import _GET, _MAYBE, _NO_PUBLISH, _NO_RETURN, _RETURNS_VALUE, derive_all
-from .decls import ActionDecl, ContextDecl, ControllerDecl, SourceDecl, Specification, validate
+from .contracts import _DO, _GET, _NO_RETURN, _RETURNS_VALUE, derive_all
+from .decls import (_ALWAYS, _MAYBE, _NO_PUBLISH, ActionDecl, ContextDecl, ControllerDecl, SourceDecl,
+                    Specification, validate)
 from .errors import KernelError, RuntimeFault
 from .values import PAYLOAD_CHECKS, TaintedValue, Value
 
@@ -130,11 +133,12 @@ class _Plan:
         return None
 
 
-# The seven contract shapes, keyed by the handles the contract grants, and the codes
-# ``_Plan.run`` tests in order: pulled contexts, publishers and controllers first. Each
-# call hands an implementation exactly its arguments: the payload if any, then those handles.
-_SHAPES = {("get",): 0, ("publish",): 1, ("do",): 2, ("get", "publish", "nopublish"): 3,
-           ("get", "publish"): 4, ("publish", "nopublish"): 5, (): 6}
+# The seven contract shapes, keyed by a contract's capability kind (None without one) and
+# publish spec, and the codes ``_Plan.run`` tests in order: pulled contexts, publishers and
+# controllers first. Each call hands an implementation exactly its arguments: the payload if
+# any, the capability's handle, then the continuations the publish spec grants.
+_SHAPES = {(_GET, _NO_PUBLISH): 0, (None, _ALWAYS): 1, (_DO, _NO_PUBLISH): 2, (_GET, _MAYBE): 3,
+           (_GET, _ALWAYS): 4, (None, _MAYBE): 5, (None, _NO_PUBLISH): 6}
 
 
 class _Activation:
@@ -235,7 +239,8 @@ class Runtime:
             raise KernelError("INVALID_SPEC",
                               f"specification has {len(report)} diagnostic(s); first: {report[0].message}")
         self.spec = spec
-        self.contracts = derive_all(spec)
+        self._contracts = derive_all(spec)
+        self.contracts = MappingProxyType(self._contracts)  # read-only: seal trusts what it holds
         self._plans: dict[str, _Plan] = {}  # every registered component and bound resource
         self._sources: dict[str, _Plan] = {}  # the bound sources
         self._queue: deque[tuple[_Plan, object, frozenset[str]]] = deque()
@@ -243,6 +248,7 @@ class Runtime:
         self._log: list[tuple[str, TaintedValue]] = []
         self._sealed = False
         self._failed = False
+        self._emitting = False
         self.trace = None  # optional callable(TraceEvent), platform-side
 
     # -- registry ----------------------------------------------------------
@@ -262,7 +268,7 @@ class Runtime:
     def register(self, name: str, impl) -> None:
         """Bind ``impl`` as the one implementation of a context or controller."""
         self._ensure_unsealed()
-        if name not in self.contracts:
+        if name not in self._contracts:
             raise KernelError("UNDECLARED_COMPONENT",
                               f"'{name}' is not a declared context or controller", component=name)
         if impl is None:
@@ -310,7 +316,7 @@ class Runtime:
         """Freeze the registry once every component is implemented and bound, and
         compile it in one pass over the declarations (see the module docstring)."""
         self._ensure_unsealed()
-        plans, contracts = self._plans, self.contracts
+        plans, contracts = self._plans, self._contracts
         # Plans are keyed by declared names only, so equal counts mean nothing is missing.
         if len(plans) < len(self.spec.declarations):
             unbound = [d.name for d in self.spec.declarations
@@ -332,32 +338,20 @@ class Runtime:
                 continue
             plan = plans[d.name]
             c = plan.contract = contracts[d.name]
-            # Activations take payloads unchecked: prove once that each payload type is what its
-            # trigger publishes, and that pulls reach only pull-activated contexts.
-            if trigger is not None:
-                published = contracts[trigger].publish_type if trigger in contracts else plans[trigger].tag
-                if published is not None:  # a trigger that never publishes wakes no one
-                    if c.activation_param is not published:
-                        raise KernelError("CONTRACT_VIOLATION", f"activation value must be {published}, "
-                                          f"the type '{trigger}' publishes", component=d.name)
-                    subscribers.setdefault(trigger, []).append(plan)
-            handles = ()
+            if trigger is not None and (trigger not in contracts or contracts[trigger].publish is not _NO_PUBLISH):
+                subscribers.setdefault(trigger, []).append(plan)  # a trigger that never publishes wakes no one
             if c.capability is not None:
-                target = c.capability.target
-                if target in contracts and contracts[target].activation_param is not None:
-                    raise KernelError("CONTRACT_VIOLATION", f"get target '{target}' is not pull-activated",
-                                      component=d.name)
-                plan.target = plans[target]
-                handles = ("get",) if c.capability.kind is _GET else ("do",)
+                plan.target = plans[c.capability.target]
             if c.publish is not _NO_PUBLISH:
-                handles += ("publish", "nopublish") if c.publish is _MAYBE else ("publish",)
-                # Which continuations return (see _tail_params): the payload comes first, nopublish last.
+                # Which continuations return (see _tail_params): publish follows the payload and any
+                # capability handle, and nopublish follows publish.
                 tails = _tail_params(plan.impl.__code__) if type(plan.impl) is FunctionType else ()
-                plan.publish_returns = handles.index("publish") + 1 in tails
-                plan.nopublish_returns = c.publish is _MAYBE and len(handles) in tails
+                at = 2 if c.capability is not None else 1
+                plan.publish_returns = at in tails
+                plan.nopublish_returns = c.publish is _MAYBE and at + 1 in tails
             out_type = c.publish_type or c.result_type  # a controller neither publishes nor returns
             plan.ok = None if out_type is None else PAYLOAD_CHECKS[out_type]
-            plan.result, plan.shape = c.result, _SHAPES[handles]
+            plan.result, plan.shape = c.result, _SHAPES[c.capability and c.capability.kind, c.publish]
         for name, woken in subscribers.items():
             plans[name].subscribers = woken
         self._sealed = True
@@ -378,9 +372,12 @@ class Runtime:
         if self._failed:
             raise KernelError("RUNTIME_FAILED",
                               "a previous activation fault poisoned this runtime; no further emits")
+        if self._emitting:  # raised inside the call-out that made it, which blames its party
+            raise KernelError("REENTRANT_EMIT", f"emit of '{name}' started while an emit of this runtime runs")
         source = self._sources.get(name)
         if source is None or not source.admits(v):
             self._checked_source(name, v)
+        self._emitting = True
         try:
             self._call_out("PLATFORM_FAULT", name, "provider", source.resource.set, v)
             queue, payload, taints = self._queue, v.payload, source.taints
@@ -393,6 +390,7 @@ class Runtime:
             self._failed = True
             self._queue.clear()
             raise
+        self._emitting = False
 
     def _checked_source(self, name: str, v) -> None:
         """Raise the entry error of ``v``, which no bound source ``name`` admits."""

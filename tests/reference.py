@@ -18,6 +18,7 @@ from scckit import (
     ContextDecl,
     ControllerDecl,
     DataType,
+    KernelError,
     PictureData,
     PublishSpec,
     ResultKind,
@@ -66,6 +67,7 @@ class Reference:
         self.stack: list[_Act] = []
         self.log: list = []
         self.failed = False
+        self.emitting = False
         self.trace = None  # callable(TraceEvent)
 
     def set_source(self, name: str, v: Value) -> None:
@@ -74,6 +76,9 @@ class Reference:
     def emit(self, name: str, v: Value) -> None:
         assert not self.failed and isinstance(self.spec.find(name), SourceDecl)
         assert has_type(v.payload, self.spec.find(name).out_type)
+        if self.emitting:
+            raise KernelError("REENTRANT_EMIT", f"emit of '{name}' started while an emit of this runtime runs")
+        self.emitting = True
         try:
             self._call_out("PLATFORM_FAULT", name, "provider", self.providers[name].set, v)
             self._wake(name, TaintedValue(v, frozenset({name})))
@@ -83,6 +88,8 @@ class Reference:
             self.failed = True
             self.queue.clear()
             raise
+        finally:
+            self.emitting = False
 
     def action_log(self) -> tuple:
         return tuple(self.log)

@@ -98,6 +98,8 @@ def test_unknown_attribute_is_an_attribute_error():
 _FRESH_IMPORT = """
 import sys
 import scckit
+loaded = sorted(name for name in sys.modules if name.startswith("scckit."))
+assert loaded == ["scckit.contracts", "scckit.decls", "scckit.errors", "scckit.flow", "scckit.parser"], loaded
 lazy = [f"scckit.{name}" for name in sys.argv[1:]]
 assert not [name for name in lazy if name in sys.modules], "loaded by a plain import"
 assert set(scckit.__all__) <= set(dir(scckit))

@@ -7,11 +7,14 @@ code, component and message), ``failed`` and an empty queue afterwards.
 """
 
 import dataclasses
+import types
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genspec
+import scckit.runtime
 from reference import Reference
 from scckit import (
     ActionDecl,
@@ -130,9 +133,87 @@ def test_kernel_agrees_with_the_reference_on_the_webcam_app(steps, pick, at, fau
 
 
 def test_generated_apps_cover_every_contract_shape():
-    shapes = set()
+    shapes, keys = set(), set()
     for seed in range(60):
         app, _ = _implementations(seed)
         for c in app.runtime.contracts.values():
             shapes.add((c.activation_param is not None, c.capability and c.capability.kind, c.publish))
+            keys.add((c.capability and c.capability.kind, c.publish))
     assert len(shapes) == 7
+    assert keys == set(scckit.runtime._SHAPES)
+
+
+class _Reenter:
+    """Wraps one party of an app so that its first call first calls ``action`` on
+    ``runtime``, the kernel or the reference the party belongs to, then goes on."""
+
+    def __init__(self, kind, name, method, action):
+        self.route, self.method, self.action = (kind, name), method, action
+        self.runtime, self.done = None, False
+
+    def _once(self, fn):
+        def call(*args):
+            if not self.done:
+                self.done = True
+                self.action(self.runtime)
+            return fn(*args)
+
+        return call
+
+    def wrap(self, kind, name, obj):
+        if (kind, name) != self.route:
+            return obj
+        if self.method is None:
+            return self._once(obj)
+        methods = {"set": obj.set, "current": obj.current}
+        methods[self.method] = self._once(methods[self.method])
+        return types.SimpleNamespace(**methods)
+
+
+def _nested_emit(rt):
+    rt.emit("Camera", make_picture(2, 2, 99))
+
+
+_WEBCAM_STEPS = [lambda rt: rt.set_source("IP", Value(DataType.STRING, "Ads Inc")),
+                 lambda rt: rt.emit("Camera", make_picture(4, 3, 1))]
+_REENTRY_ROUTES = {  # who calls emit during a drain, and the fault that names it
+    "sink": (("sink", "Screen", None), "PLATFORM_FAULT", "Screen", "sink"),
+    "implementation": (("implementation", "ProcessPicture", None), "IMPLEMENTATION_PANIC", "ProcessPicture",
+                       "implementation"),
+    "hook": (("hook", "trace", None), "HOOK_FAULT", "ProcessPicture", "trace hook"),
+    "provider set": (("provider", "Camera", "set"), "PLATFORM_FAULT", "Camera", "provider"),
+    "provider current": (("provider", "IP", "current"), "PLATFORM_FAULT", "IP", "provider"),
+}
+
+
+def _agree_on_reentry(party, action, steps):
+    """The kernel's run of ``steps`` on the webcam app, where ``party`` (kind, name,
+    provider method) calls ``action`` once, and the reference's run must agree."""
+    kernel_injector, reference_injector = (_Reenter(*party, action) for _ in range(2))
+    rt, ref = _twins(webcam.webcam_spec(), WEBCAM_IMPLS, kernel_injector, reference_injector)
+    kernel_injector.runtime, reference_injector.runtime = rt, ref
+    kernel = _observe(rt, rt._queue, steps, kernel_injector)
+    assert kernel == _observe(ref, ref.queue, steps, reference_injector)
+    return rt, kernel
+
+
+@pytest.mark.parametrize("route", _REENTRY_ROUTES)
+def test_reentrant_emit_is_refused_and_blamed_on_its_caller(route):
+    party, code, component, who = _REENTRY_ROUTES[route]
+    rt, kernel = _agree_on_reentry(party, _nested_emit, _WEBCAM_STEPS)
+    detail = "emit of 'Camera' started while an emit of this runtime runs"
+    assert kernel[1:] == ((), ("RuntimeFault", code, component,
+                               f"{code} [{component}]: {who} raised KernelError: REENTRANT_EMIT: {detail}",
+                               KernelError), True, 0)
+    with pytest.raises(KernelError) as err:
+        rt.emit("Camera", make_picture(1, 1, 0))
+    assert err.value.code == "RUNTIME_FAILED"
+
+
+def test_set_source_during_a_drain_stays_allowed():
+    def set_ad(rt):
+        rt.set_source("IP", Value(DataType.STRING, "Buy!"))
+
+    _, kernel = _agree_on_reentry(("sink", "Screen", None), set_ad, _WEBCAM_STEPS + _WEBCAM_STEPS[1:])
+    assert kernel[2:] == ("completed", False, 0)
+    assert [str(tv.value.payload).count("Buy!") for _, tv in kernel[1]] == [0, 1]

@@ -160,28 +160,24 @@ def test_seal_names_missing_bindings():
     assert err.value.names == ("A",)
 
 
-def test_seal_checks_activation_types_once():
-    # Activations take their payloads unchecked, so seal must refuse a plan
-    # whose payload types disagree with what the triggers publish.
-    rt, _, _ = wire(CHAIN, chain_impls(), seal=False)
-    rt.contracts["C"] = dataclasses.replace(rt.contracts["C"], activation_param=STRING)
-    with pytest.raises(KernelError) as err:
-        rt.seal()
-    assert (err.value.code, err.value.component) == ("CONTRACT_VIOLATION", "C")
-    assert str(err.value) == "CONTRACT_VIOLATION [C]: activation value must be Int, the type 'P' publishes"
-    assert not rt.sealed
-
-    pulled = Specification((
-        SourceDecl("S", INT),
-        ContextDecl("R", INT, when_required()),
-        ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="R")),
-    ))
-    rt, _, _ = wire(pulled, {"R": lambda: 1, "P": lambda v, get, pub: pub(get())}, seal=False)
-    rt.contracts["R"] = dataclasses.replace(rt.contracts["R"], activation_param=INT)
-    with pytest.raises(KernelError) as err:
-        rt.seal()
-    assert (err.value.code, err.value.component) == ("CONTRACT_VIOLATION", "P")
-    assert not rt.sealed
+def test_rt_contracts_cannot_change_what_seal_links():
+    # validate and derive_all prove the wiring once and seal trusts it, so the
+    # contracts seal reads must be out of reach: rt.contracts is a read-only view.
+    rt, _, sinks = wire(CHAIN, chain_impls(), seal=False)
+    p, c = rt.contracts["P"], rt.contracts["C"]
+    tampered = {"P": dataclasses.replace(p, publish=PublishSpec.MAYBE),
+                "C": dataclasses.replace(c, activation_param=STRING, capability=None)}
+    for name, contract in tampered.items():
+        with pytest.raises(TypeError):
+            rt.contracts[name] = contract
+        with pytest.raises(TypeError):
+            del rt.contracts[name]
+    assert rt.contracts == {"P": p, "C": c}
+    rt.contracts = tampered
+    rt.seal()
+    rt.emit("S", int_value(1))
+    assert sinks["A"].deliveries == [int_value(2)]
+    assert not rt.failed
 
 
 def test_publish_cycle_is_an_invalid_spec():
