@@ -20,6 +20,7 @@ from .decls import (
     Specification,
     _MAYBE,
     _NO_PUBLISH,
+    _article,
     _record,
     output_type_of,
 )
@@ -89,7 +90,7 @@ def derive_contract(spec: Specification, name: str) -> BoundaryContract:
         assert isinstance(action, ActionDecl)
         return BoundaryContract(name, output_type_of(spec, decl.trigger),
                                 Capability(_DO, decl.action, action.in_type), _NO_PUBLISH, None, _RETURNS_NOTHING)
-    raise KernelError("WRONG_KIND", f"'{name}' is a {decl.kind}; only contexts and controllers "
+    raise KernelError("WRONG_KIND", f"'{name}' is {_article(decl.kind)}; only contexts and controllers "
                                     "carry boundary contracts", component=name)
 
 

@@ -147,12 +147,39 @@ class Specification:
             table.setdefault(d.name, d)
         object.__setattr__(self, "_table", table)
 
-    def by_name(self) -> dict[str, Declaration]:
-        """Copy of the name table; on duplicates the first occurrence wins."""
-        return dict(self._table)
-
     def find(self, name: str) -> Declaration | None:
         return self._table.get(name)
+
+    def __getstate__(self):  # a pickle or copy holds what a fresh spec does; the index is rebuilt on use
+        return {key: value for key, value in vars(self).items() if key != "_wiring_index"}
+
+    def _wiring(self) -> tuple[tuple[tuple[str, ...], ...], dict[str, str | None], dict[str, str]]:
+        """How the declarations connect, for validate, the flow graph and the runtime: the flow
+        edges in declaration order, as parallel tuples of sources, targets and kinds, and the
+        successor maps of the pull graph (when-required context -> get target) and of the publish
+        graph (when-provided context -> trigger), where a name's first such declaration stands for
+        it. Built once, on first use, and kept in the instance dict: out of equality, hashing,
+        repr, pickles and copies."""
+        index = self.__dict__.get("_wiring_index")  # by hand: cached_property's lock costs ~1 us a spec
+        if index is not None:
+            return index
+        # No object per edge: 1,600 edge tuples, kept or only gathered, slowed large-spec setup in 9 of 9 pairs.
+        flat, pulls, publishes = [], {}, {}  # flat: each edge's source, target and kind in turn
+        for d in self.declarations:
+            if isinstance(d, ContextDecl):
+                trigger, target = d.contract.trigger, d.contract.get_target
+                if trigger is None:
+                    pulls.setdefault(d.name, target)
+                else:
+                    publishes.setdefault(d.name, trigger)
+                    flat += trigger, d.name, "publish"
+                if target is not None:
+                    flat += target, d.name, "pull"
+            elif isinstance(d, ControllerDecl):
+                flat += d.trigger, d.name, "publish", d.name, d.action, "command"
+        edges = tuple(flat[0::3]), tuple(flat[1::3]), tuple(flat[2::3])
+        index = self.__dict__["_wiring_index"] = edges, pulls, publishes
+        return index
 
 
 @_record
@@ -176,14 +203,6 @@ def _article(kind: str) -> str:
     return ("an " if kind[0] in "aeiou" else "a ") + kind
 
 
-def _is_required_context(decl: Declaration | None) -> bool:
-    return isinstance(decl, ContextDecl) and decl.contract.trigger is None
-
-
-def _is_provided_context(decl: Declaration | None) -> bool:
-    return isinstance(decl, ContextDecl) and decl.contract.trigger is not None
-
-
 def validate(spec: Specification) -> list[Diagnostic]:
     """Check every structural rule; empty result means the spec is well-formed.
 
@@ -191,8 +210,9 @@ def validate(spec: Specification) -> list[Diagnostic]:
     index, with a fixed check order within each declaration.
     """
     table = spec._table
-    pulls, depths = _chains(spec, _is_required_context, lambda d: d.contract.get_target)
-    publishes, _ = _chains(spec, _is_provided_context, lambda d: d.contract.trigger)
+    _, pull_successors, publish_successors = spec._wiring()
+    pulls, depths = _chains(pull_successors)
+    publishes, _ = _chains(publish_successors)
     diags: list[Diagnostic] = []
     seen: set[str] = set()
     for i, decl in enumerate(spec.declarations):
@@ -206,9 +226,9 @@ def validate(spec: Specification) -> list[Diagnostic]:
         if not isinstance(decl, ContextDecl):
             continue
         diags.extend(_check_context(i, decl, table))
-        if decl.name in pulls and _is_required_context(decl):
+        if decl.name in pulls and decl.contract.trigger is None:
             diags.append(Diagnostic(i, "GET_CYCLE", f"get dependencies of '{decl.name}' form a cycle"))
-        elif decl.name in publishes and _is_provided_context(decl):
+        elif decl.name in publishes and decl.contract.trigger is not None:
             diags.append(Diagnostic(i, "PUBLISH_CYCLE", f"publish triggers of '{decl.name}' form a cycle"))
         # A pull of a context nests every when-required context on its target's chain.
         depth = depths.get(decl.contract.get_target, 0)
@@ -267,32 +287,23 @@ def _check_controller(i: int, decl: ControllerDecl, table: dict[str, Declaration
     return out
 
 
-def _chains(spec: Specification, keep, successor) -> tuple[set[str], dict[str, int]]:
-    """Cycles and chain lengths of the graph over the kept declarations.
-
-    The first kept declaration of each name is its node, and a node's only
-    edge leads to ``successor(decl)`` when that names a node, itself
-    included. Returns the names on a cycle, and for every node whose chain
-    ends without entering one, the number of nodes on that chain, itself
-    included. With at most one successor per node, a walk from each node
-    that stops at the first node already walked visits every node once:
-    linear time.
-    """
-    nodes: dict[str, Declaration] = {}
-    for decl in spec.declarations:
-        if keep(decl):
-            nodes.setdefault(decl.name, decl)
+def _chains(successor: dict[str, str | None]) -> tuple[set[str], dict[str, int]]:
+    """Cycles and chain lengths of a graph in which each node has one edge, to
+    ``successor[node]`` when that is a node, itself included. Returns the names
+    on a cycle, and for every node whose chain ends without entering one, the
+    number of nodes on that chain, itself included. A walk from each node that
+    stops at the first node already walked visits every node once: linear time."""
     members: set[str] = set()
     lengths: dict[str, int] = {}
     walked: set[str] = set()
-    for name in nodes:
+    for name in successor:
         if name in walked:
             continue
         path: dict[str, int] = {}  # this walk's nodes, in order
-        while name in nodes and name not in walked:
+        while name in successor and name not in walked:
             walked.add(name)
             path[name] = len(path)
-            name = successor(nodes[name])
+            name = successor[name]
         if name in path:  # the walk closed a loop of its own
             members.update(list(path)[path[name]:])
         elif name not in walked or name in lengths:  # the chain ends, or joins one already measured

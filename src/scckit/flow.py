@@ -12,7 +12,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _q
 from operator import attrgetter
 
-from .decls import ContextDecl, ControllerDecl, Specification, _record
+from .decls import Specification, _record
 from .errors import KernelError
 
 
@@ -54,18 +54,8 @@ class FlowGraph:
 
 
 def build_flow_graph(spec: Specification) -> FlowGraph:
-    nodes = tuple(FlowNode(d.name, d.kind) for d in spec.declarations)
-    edges = []
-    for d in spec.declarations:
-        if isinstance(d, ContextDecl):
-            if d.contract.trigger is not None:
-                edges.append(FlowEdge(d.contract.trigger, d.name, "publish"))
-            if d.contract.get_target is not None:
-                edges.append(FlowEdge(d.contract.get_target, d.name, "pull"))
-        elif isinstance(d, ControllerDecl):
-            edges.append(FlowEdge(d.trigger, d.name, "publish"))
-            edges.append(FlowEdge(d.name, d.action, "command"))
-    return FlowGraph(nodes, tuple(edges))
+    return FlowGraph(tuple(FlowNode(d.name, d.kind) for d in spec.declarations),
+                     tuple(map(FlowEdge, *spec._wiring()[0])))
 
 
 def source_ancestors(graph: FlowGraph, name: str) -> set[str]:

@@ -11,10 +11,10 @@ outgoing value.
 Each value is checked once, where untrusted code hands it in. ``validate``
 and ``derive_all`` prove that each activation payload type is what its
 trigger publishes and that each pull reaches a source or a when-required
-context; ``seal`` relies on that and does not check it again. It links each
-component to the plans it wakes and reaches, and fixes its entry checks and
-its shape code: ``_Plan.run`` calls the implementation directly, by one of
-seven calls, so no activation reads a contract or looks up a name.
+context; ``seal`` relies on that and does not check it again. It fixes each
+component's targets, entry checks and shape code from its contract and links
+subscribers along the spec's wiring index: ``_Plan.run`` calls implementations
+directly, by one of seven calls, so no activation reads a contract or a name.
 
 A single engine instance is single-threaded. Capability and continuation
 handles are the bound methods of one activation; calling one after it ends
@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from types import FunctionType, MappingProxyType
 
 from .contracts import _DO, _GET, _NO_RETURN, _RETURNS_VALUE, derive_all
-from .decls import (_ALWAYS, _MAYBE, _NO_PUBLISH, ActionDecl, ContextDecl, ControllerDecl, SourceDecl,
-                    Specification, validate)
+from .decls import _ALWAYS, _MAYBE, _NO_PUBLISH, ActionDecl, SourceDecl, Specification, _article, validate
 from .errors import KernelError, RuntimeFault
 from .values import PAYLOAD_CHECKS, TaintedValue, Value
 
@@ -309,12 +308,13 @@ class Runtime:
         if decl is None:
             raise KernelError("UNDECLARED_COMPONENT", f"'{name}' is not declared", component=name)
         if not isinstance(decl, decl_cls):
-            raise KernelError("WRONG_KIND", f"'{name}' is a {decl.kind}, not a {decl_cls.kind}", component=name)
+            raise KernelError("WRONG_KIND", f"'{name}' is {_article(decl.kind)}, not {_article(decl_cls.kind)}",
+                              component=name)
         return decl
 
     def seal(self) -> None:
-        """Freeze the registry once every component is implemented and bound, and
-        compile it in one pass over the declarations (see the module docstring)."""
+        """Freeze the registry once every component is implemented and bound, and compile
+        it from the contracts and the spec's wiring index (see the module docstring)."""
         self._ensure_unsealed()
         plans, contracts = self._plans, self._contracts
         # Plans are keyed by declared names only, so equal counts mean nothing is missing.
@@ -328,18 +328,9 @@ class Runtime:
                     err = KernelError(code, f"{what}: " + ", ".join(missing))
                     err.names = tuple(missing)
                     raise err
-        subscribers: dict[str, list[_Plan]] = {}  # linked only once the whole pass succeeds
-        for d in self.spec.declarations:
-            if isinstance(d, ContextDecl):
-                trigger = d.contract.trigger
-            elif isinstance(d, ControllerDecl):
-                trigger = d.trigger
-            else:
-                continue
-            plan = plans[d.name]
-            c = plan.contract = contracts[d.name]
-            if trigger is not None and (trigger not in contracts or contracts[trigger].publish is not _NO_PUBLISH):
-                subscribers.setdefault(trigger, []).append(plan)  # a trigger that never publishes wakes no one
+        for name, c in contracts.items():
+            plan = plans[name]
+            plan.contract = c
             if c.capability is not None:
                 plan.target = plans[c.capability.target]
             if c.publish is not _NO_PUBLISH:
@@ -352,6 +343,10 @@ class Runtime:
             out_type = c.publish_type or c.result_type  # a controller neither publishes nor returns
             plan.ok = None if out_type is None else PAYLOAD_CHECKS[out_type]
             plan.result, plan.shape = c.result, _SHAPES[c.capability and c.capability.kind, c.publish]
+        subscribers: dict[str, list[_Plan]] = {}  # a trigger that never publishes wakes no one
+        for trigger, name, kind in zip(*self.spec._wiring()[0]):
+            if kind == "publish" and (trigger not in contracts or contracts[trigger].publish is not _NO_PUBLISH):
+                subscribers.setdefault(trigger, []).append(plans[name])
         for name, woken in subscribers.items():
             plans[name].subscribers = woken
         self._sealed = True

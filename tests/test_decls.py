@@ -1,7 +1,10 @@
 """Well-formedness checks and lookups over declaration ASTs."""
 
+import copy
+import pickle
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genspec
@@ -20,6 +23,7 @@ from scckit import (
     SourceDecl,
     Specification,
     Value,
+    build_flow_graph,
     create_runtime,
     output_type_of,
     validate,
@@ -246,10 +250,20 @@ def test_output_type_of_rejects_controllers_and_unknowns():
 def test_name_table_first_occurrence_wins():
     first = SourceDecl("S", INT)
     spec = Specification((first, SourceDecl("S", STRING)))
-    assert spec.by_name()["S"] is first
-    assert spec.find("missing") is None
-    spec.by_name().clear()  # a copy: the spec's own table is untouched
     assert spec.find("S") is first
+    assert spec.find("missing") is None
+
+
+def test_indexed_spec_equals_hashes_pickles_and_copies_as_fresh_one():
+    indexed, fresh = webcam_spec(), webcam_spec()
+    assert validate(indexed) == []
+    assert "_wiring_index" in vars(indexed) and "_wiring_index" not in vars(fresh)
+    for twin in (indexed, pickle.loads(pickle.dumps(indexed)), copy.copy(indexed), copy.deepcopy(indexed)):
+        assert twin == fresh
+        assert hash(twin) == hash(fresh)
+        assert repr(twin) == repr(fresh)
+        assert pickle.dumps(twin) == pickle.dumps(fresh)
+        assert build_flow_graph(twin) == build_flow_graph(Specification(fresh.declarations))
 
 
 # -- cycles against a brute-force reachability oracle -------------------------
@@ -338,6 +352,10 @@ def _stub(contract):
 
 @settings(max_examples=300)
 @given(cycle_specs())
+@example(Specification((  # a name's first declaration stands for it: only the second R and P loop
+    SourceDecl("S", INT), ContextDecl("R", INT, when_required("S")), ContextDecl("R", INT, when_required("R")),
+    ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS)),
+    ContextDecl("P", INT, when_provided("P", PublishSpec.ALWAYS)))))
 def test_cycle_diagnostics_match_reachability_oracle(spec):
     pulls = _looping_names(spec, _required, lambda d: d.contract.get_target)
     publishes = _looping_names(spec, _provided, lambda d: d.contract.trigger)
@@ -364,6 +382,27 @@ def test_cycle_diagnostics_match_reachability_oracle(spec):
         if isinstance(d, SourceDecl):
             rt.emit(d.name, Value(d.out_type, DEFAULTS[d.out_type]))
     assert not rt.failed
+
+
+def _edges_of(d):
+    """The flow edges ``(from, to, kind)`` that one declaration adds, in order."""
+    if isinstance(d, ControllerDecl):
+        return [(d.trigger, d.name, "publish"), (d.name, d.action, "command")]
+    if not isinstance(d, ContextDecl):
+        return []
+    c = d.contract
+    return ([(c.trigger, d.name, "publish")] if c.trigger is not None else []) + \
+           ([(c.get_target, d.name, "pull")] if c.get_target is not None else [])
+
+
+@settings(max_examples=300)
+@given(cycle_specs(), st.booleans())
+def test_flow_edges_match_a_per_declaration_oracle(spec, validated_first):
+    if validated_first:  # the graph then reuses the index that validate built
+        validate(spec)
+    graph = build_flow_graph(spec)
+    assert [(e.src, e.dst, e.kind) for e in graph.edges] == [e for d in spec.declarations for e in _edges_of(d)]
+    assert [(n.name, n.kind) for n in graph.nodes] == [(d.name, d.kind) for d in spec.declarations]
 
 
 def _naive_pull_depth(spec, name):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import genspec
 import scckit.runtime
+import scckit.webcam as webcam
 from scckit import (
     ActionDecl,
     ContextDecl,
@@ -31,6 +32,8 @@ from scckit import (
     build_flow_graph,
     build_webcam_app,
     create_runtime,
+    derive_all,
+    derive_contract,
     make_picture,
     parse_scenario,
     render_taints,
@@ -206,6 +209,26 @@ def test_emit_type_checks_against_source_type():
         rt.emit("S", Value(STRING, "x"))
     assert err.value.code == "TYPE_MISMATCH"
     assert rt.action_log() == ()
+
+
+def test_wrong_kind_messages_name_each_kind_with_its_article():
+    unsealed, app = create_runtime(webcam_spec()), build_webcam_app()
+    refusals = [(unsealed.bind_source, "Screen", ScriptedSource()), (unsealed.bind_action, "Camera", RecordingSink()),
+                (app.runtime.emit, "Screen", make_picture(8, 6, 1)),
+                (derive_contract, unsealed.spec, "Camera"), (derive_contract, unsealed.spec, "Screen")]
+    messages = []
+    for call, *args in refusals:
+        with pytest.raises(KernelError) as err:
+            call(*args)
+        assert err.value.code == "WRONG_KIND"
+        messages.append(err.value.detail)
+    assert messages == [
+        "'Screen' is an action, not a source",
+        "'Camera' is a source, not an action",
+        "'Screen' is an action, not a source",
+        "'Camera' is a source; only contexts and controllers carry boundary contracts",
+        "'Screen' is an action; only contexts and controllers carry boundary contracts",
+    ]
 
 
 def test_emit_rejects_non_sources_and_unknowns():
@@ -1141,6 +1164,25 @@ def test_each_shape_gets_exactly_its_contracts_arguments_and_every_handle_goes_s
     assert not rt.failed
 
 
+def test_the_wiring_index_is_built_once_per_spec(monkeypatch):
+    builds = []
+
+    def counted(spec):
+        if "_wiring_index" not in vars(spec):
+            builds.append(spec)
+        return wiring(spec)
+
+    wiring = Specification._wiring
+    monkeypatch.setattr(Specification, "_wiring", counted)
+    spec = webcam_spec()
+    assert scckit.validate(spec) == []
+    derive_all(spec)
+    build_flow_graph(spec)
+    rt, _, _ = wire(spec, {"ProcessPicture": webcam.process_picture, "MakeAd": webcam.make_ad,
+                           "ComposeDisplay": webcam.compose_display, "Display": webcam.display})
+    assert rt.sealed and len(builds) == 1 and builds[0] is spec
+
+
 def test_the_sealed_hot_path_looks_up_no_names(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("a name was looked up in the specification after seal")
@@ -1148,7 +1190,6 @@ def test_the_sealed_hot_path_looks_up_no_names(monkeypatch):
     for trace in (None, []):
         app = build_webcam_app(trace=None if trace is None else trace.append)
         monkeypatch.setattr(Specification, "find", refuse)
-        monkeypatch.setattr(Specification, "by_name", refuse)
         app.runtime.set_source("IP", Value(STRING, "Ads Inc"))
         app.runtime.emit("Camera", make_picture(640, 480, 7))
         app.runtime.emit("IP", Value(STRING, "Ads Inc"))
