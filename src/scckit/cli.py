@@ -24,7 +24,7 @@ class _CliIOError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is not text
     except OSError as exc:
         raise _CliIOError(f"scc: cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

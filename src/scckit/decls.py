@@ -141,31 +141,17 @@ class Specification:
     declarations: tuple[Declaration, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "declarations", tuple(self.declarations))
-        table: dict[str, Declaration] = {}
-        for d in self.declarations:
-            table.setdefault(d.name, d)
-        object.__setattr__(self, "_table", table)
-
-    def find(self, name: str) -> Declaration | None:
-        return self._table.get(name)
-
-    def __getstate__(self):  # a pickle or copy holds what a fresh spec does; the index is rebuilt on use
-        return {key: value for key, value in vars(self).items() if key != "_wiring_index"}
-
-    def _wiring(self) -> tuple[tuple[tuple[str, ...], ...], dict[str, str | None], dict[str, str]]:
-        """How the declarations connect, for validate, the flow graph and the runtime: the flow
-        edges in declaration order, as parallel tuples of sources, targets and kinds, and the
-        successor maps of the pull graph (when-required context -> get target) and of the publish
-        graph (when-provided context -> trigger), where a name's first such declaration stands for
-        it. Built once, on first use, and kept in the instance dict: out of equality, hashing,
-        repr, pickles and copies."""
-        index = self.__dict__.get("_wiring_index")  # by hand: cached_property's lock costs ~1 us a spec
-        if index is not None:
-            return index
+        """Index, in one loop, how the declarations connect, for validate, the flow graph and the
+        runtime. ``_table``: each name's first declaration. ``_wiring``: the flow edges in order, as
+        parallel tuples of sources, targets and kinds, and the successor maps of the pull graph
+        (when-required context -> get target) and of the publish graph (when-provided context ->
+        trigger), where a name's first such declaration stands for it. Both sit in the instance
+        dict, out of equality, hashing and repr."""
+        declarations = tuple(self.declarations)
         # No object per edge: 1,600 edge tuples, kept or only gathered, slowed large-spec setup in 9 of 9 pairs.
-        flat, pulls, publishes = [], {}, {}  # flat: each edge's source, target and kind in turn
-        for d in self.declarations:
+        table, flat, pulls, publishes = {}, [], {}, {}  # flat: each edge's source, target and kind in turn
+        for d in declarations:
+            table.setdefault(d.name, d)
             if isinstance(d, ContextDecl):
                 trigger, target = d.contract.trigger, d.contract.get_target
                 if trigger is None:
@@ -178,8 +164,10 @@ class Specification:
             elif isinstance(d, ControllerDecl):
                 flat += d.trigger, d.name, "publish", d.name, d.action, "command"
         edges = tuple(flat[0::3]), tuple(flat[1::3]), tuple(flat[2::3])
-        index = self.__dict__["_wiring_index"] = edges, pulls, publishes
-        return index
+        self.__dict__.update(declarations=declarations, _table=table, _wiring=(edges, pulls, publishes))
+
+    def find(self, name: str) -> Declaration | None:
+        return self._table.get(name)
 
 
 @_record
@@ -210,7 +198,7 @@ def validate(spec: Specification) -> list[Diagnostic]:
     index, with a fixed check order within each declaration.
     """
     table = spec._table
-    _, pull_successors, publish_successors = spec._wiring()
+    _, pull_successors, publish_successors = spec._wiring
     pulls, depths = _chains(pull_successors)
     publishes, _ = _chains(publish_successors)
     diags: list[Diagnostic] = []

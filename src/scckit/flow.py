@@ -55,7 +55,7 @@ class FlowGraph:
 
 def build_flow_graph(spec: Specification) -> FlowGraph:
     return FlowGraph(tuple(FlowNode(d.name, d.kind) for d in spec.declarations),
-                     tuple(map(FlowEdge, *spec._wiring()[0])))
+                     tuple(map(FlowEdge, *spec._wiring[0])))
 
 
 def source_ancestors(graph: FlowGraph, name: str) -> set[str]:

@@ -12,13 +12,14 @@ Each value is checked once, where untrusted code hands it in. ``validate``
 and ``derive_all`` prove that each activation payload type is what its
 trigger publishes and that each pull reaches a source or a when-required
 context; ``seal`` relies on that and does not check it again. It fixes each
-component's targets, entry checks and shape code from its contract and links
-subscribers along the spec's wiring index: ``_Plan.run`` calls implementations
-directly, by one of seven calls, so no activation reads a contract or a name.
+component's targets, type, entry check and shape code from its contract and
+links subscribers along the spec's index: ``_Plan.run`` calls implementations
+directly, by one of seven calls, so no activation reads a name, nor a contract
+but to trace it.
 
 A single engine instance is single-threaded. Capability and continuation
 handles are the bound methods of one activation; calling one after it ends
-is a fault.
+is a fault. A drain's first fault is kept (``_record``); every handle raises it.
 """
 
 from __future__ import annotations
@@ -54,16 +55,16 @@ class TraceEvent:
 
 
 class _Plan:
-    """One declaration as registered or bound, then sealed. A source or action has its
-    provider or sink, type (``tag``), that type's check and its taint; a component
-    has its implementation, contract, result kind, capability ``target`` plan, the
-    check ``ok`` of what it publishes or returns, its ``shape`` code and, if it
-    publishes, whether its ``publish`` and ``nopublish`` return. Plans
-    link to the ``subscribers`` they wake but never back to their runtime, so a
-    dropped runtime is freed at once, without the cycle collector."""
+    """One declaration as registered or bound, then sealed. Each has a type (``tag``),
+    which a component publishes or returns (a controller none), and its check (``accepts``).
+    A source or action also has its provider or sink and its taint; a component has its
+    implementation, contract, result kind, capability ``target`` plan, ``shape`` code and,
+    if it publishes, whether its ``publish`` and ``nopublish`` return. Plans link to the
+    ``subscribers`` they wake but never back to their runtime, so a dropped runtime is
+    freed at once, without the cycle collector."""
 
     __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "contract", "result", "shape",
-                 "target", "ok", "subscribers", "publish_returns", "nopublish_returns")
+                 "target", "subscribers", "publish_returns", "nopublish_returns")
 
     def __init__(self, name: str, impl, resource):
         self.name, self.impl, self.resource = name, impl, resource
@@ -77,7 +78,7 @@ class _Plan:
         """The activator: run this context or controller once in ``rt``. A
         pull-activated context returns ``(payload, taints)``."""
         act = _new(_Activation)  # filled in place: no __init__ frame on the hot path
-        act.rt, act.plan, act.taints, act.fired, act.fault = rt, self, taints, False, None
+        act.rt, act.plan, act.taints, act.fired = rt, self, taints, False
         trace = rt.trace
         if trace is not None:
             param = self.contract.activation_param
@@ -102,29 +103,29 @@ class _Plan:
                 returned = impl()
         except _ActivationEscape as esc:
             if not esc.args or esc.args[0] is not act:  # another activation's escape, raised again
-                if act.fault is not None:
-                    raise act.fault
+                if rt._fault is not None:
+                    raise rt._fault
                 raise rt._record(RuntimeFault("IMPLEMENTATION_PANIC", "implementation raised the escape "
                                               "of another activation's continuation", self.name)) from None
             returned = None
         except Exception as exc:
-            if act.fault is not None:  # recorded on its way out, or swallowed before this exception
-                raise act.fault
+            if rt._fault is not None:  # recorded on its way out, or swallowed before this exception
+                raise rt._fault
             raise rt._record(RuntimeFault("IMPLEMENTATION_PANIC", f"implementation raised "
                                           f"{type(exc).__name__}: {exc}", self.name)) from exc
         finally:
             stack.pop()
 
-        if act.fault is not None:  # a fault the implementation swallowed
-            raise act.fault
+        if rt._fault is not None:  # a fault the implementation swallowed
+            raise rt._fault
         if self.result is _NO_RETURN:
             if not act.fired:
                 raise rt._record(RuntimeFault("NO_CONTINUATION_CALLED", "implementation finished "
                                               "without publish or nopublish", self.name))
         elif self.result is _RETURNS_VALUE:
-            if not self.ok(returned):
+            if not self.accepts(returned):
                 raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"returned value must be "
-                                              f"{self.contract.result_type}, got {returned!r}", self.name))
+                                              f"{self.tag}, got {returned!r}", self.name))
             return returned, act.taints
         elif returned is not None:
             raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"controller returned a value "
@@ -146,7 +147,7 @@ class _Activation:
     handle belongs to exactly one activation and dies with it. Only ``_Plan.run``
     makes one, and fills its slots itself."""
 
-    __slots__ = ("rt", "plan", "taints", "fired", "fault")  # fired: a continuation has taken effect
+    __slots__ = ("rt", "plan", "taints", "fired")  # fired: a continuation has taken effect
 
     def _live(self):
         """A handle works only while its activation runs on top, and not after a fault."""
@@ -154,8 +155,8 @@ class _Activation:
         if not stack or stack[-1] is not self:
             raise self.rt._record(RuntimeFault("STALE_HANDLE", "handle used outside the activation it "
                                                "was granted to", self.plan.name))
-        if self.fault is not None:
-            raise self.fault
+        if self.rt._fault is not None:
+            raise self.rt._fault
 
     def get(self):
         self._live()
@@ -174,7 +175,7 @@ class _Activation:
             payload, taints = v.payload, target.taints
         trace = rt.trace
         if trace is not None:
-            v = Value(plan.contract.capability.value_type, payload) if v is None else v
+            v = Value(target.tag, payload) if v is None else v
             rt._call_out("HOOK_FAULT", plan.name, "trace hook", trace,
                          TraceEvent("pull", plan.name, TaintedValue(v, taints), target=target.name))
         mine = self.taints
@@ -195,9 +196,9 @@ class _Activation:
     def publish(self, payload):
         self._fire()
         plan = self.plan
-        if not plan.ok(payload):
+        if not plan.accepts(payload):
             raise self.rt._record(RuntimeFault("CONTRACT_VIOLATION", f"published value must be "
-                                               f"{plan.contract.publish_type}, got {payload!r}", plan.name))
+                                               f"{plan.tag}, got {payload!r}", plan.name))
         append, taints = self.rt._queue.append, self.taints
         for subscriber in plan.subscribers:
             append((subscriber, payload, taints))
@@ -214,7 +215,7 @@ class _Activation:
     def _fire(self):
         """``_live``, inlined, for a continuation, which takes effect once."""
         stack = self.rt._stack
-        if not stack or stack[-1] is not self or self.fault is not None or self.fired:
+        if not stack or stack[-1] is not self or self.rt._fault is not None or self.fired:
             self._live()  # raises STALE_HANDLE or the fault, if either comes first
             raise self.rt._record(RuntimeFault("DOUBLE_CONTINUATION", "a continuation was already "
                                                "invoked in this activation", self.plan.name))
@@ -244,6 +245,7 @@ class Runtime:
         self._sources: dict[str, _Plan] = {}  # the bound sources
         self._queue: deque[tuple[_Plan, object, frozenset[str]]] = deque()
         self._stack: list[_Activation] = []
+        self._fault: RuntimeFault | None = None  # the drain's first fault, which every handle raises again
         self._log: list[tuple[str, TaintedValue]] = []
         self._sealed = False
         self._failed = False
@@ -340,12 +342,12 @@ class Runtime:
                 at = 2 if c.capability is not None else 1
                 plan.publish_returns = at in tails
                 plan.nopublish_returns = c.publish is _MAYBE and at + 1 in tails
-            out_type = c.publish_type or c.result_type  # a controller neither publishes nor returns
-            plan.ok = None if out_type is None else PAYLOAD_CHECKS[out_type]
+            plan.tag = c.publish_type or c.result_type  # a controller neither publishes nor returns
+            plan.accepts = PAYLOAD_CHECKS.get(plan.tag)
             plan.result, plan.shape = c.result, _SHAPES[c.capability and c.capability.kind, c.publish]
-        subscribers: dict[str, list[_Plan]] = {}  # a trigger that never publishes wakes no one
-        for trigger, name, kind in zip(*self.spec._wiring()[0]):
-            if kind == "publish" and (trigger not in contracts or contracts[trigger].publish is not _NO_PUBLISH):
+        subscribers: dict[str, list[_Plan]] = {}
+        for trigger, name, kind in zip(*self.spec._wiring[0]):
+            if kind == "publish":
                 subscribers.setdefault(trigger, []).append(plans[name])
         for name, woken in subscribers.items():
             plans[name].subscribers = woken
@@ -402,12 +404,11 @@ class Runtime:
     # -- blame -------------------------------------------------------------
 
     def _record(self, fault: RuntimeFault) -> RuntimeFault:
-        """Give ``fault`` to every activation on the stack that holds none yet, and
-        return it. The stack is one pull chain, so a fault aborts all of it; each
-        activation fails with the first fault it got, even if its code caught it."""
-        for act in self._stack:
-            if act.fault is None:
-                act.fault = fault
+        """Keep ``fault`` as the drain's fault unless one is kept or no activation runs, and
+        return it. Every handle raises the kept fault again, so no activation starts after it:
+        each running one fails with it, even if its code caught it, and the drain ends poisoned."""
+        if self._stack and self._fault is None:
+            self._fault = fault
         return fault
 
     def _call_out(self, code: str, component: str, party: str, fn, *args):

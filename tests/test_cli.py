@@ -46,6 +46,14 @@ def test_spec_that_is_not_utf8_is_a_usage_error(run_cli, tmp_path, command):
                    "invalid continuation byte\n")
 
 
+def test_check_reads_a_spec_that_starts_with_a_byte_order_mark(run_cli, webcam_scc, tmp_path):
+    spec = tmp_path / "bom.scc"
+    spec.write_bytes(b"\xef\xbb\xbf" + webcam_scc.read_bytes())
+    assert run_cli("check", str(spec), "--contracts") == run_cli("check", str(webcam_scc), "--contracts")
+    spec.write_bytes(b"\xef\xbb\xbf(define-source IP String)\n(define-source IP String)\n")
+    assert run_cli("check", str(spec)) == (1, "", f"{spec}:2:1: DUP_NAME: 'IP' is already declared\n")
+
+
 def test_check_reports_diagnostics_with_positions(run_cli, tmp_path):
     bad = tmp_path / "bad.scc"
     bad.write_text("(define-source Camera Picture)\n(define-source Camera Picture)\n")
@@ -178,6 +186,12 @@ def test_demo_with_shipped_scenario_file(run_cli, default_scn):
     code, out, _ = run_cli("demo", "--scenario", str(default_scn))
     assert code == 0
     assert out == FROZEN_DEMO_LINE
+
+
+def test_demo_reads_a_scenario_that_starts_with_a_byte_order_mark(run_cli, default_scn, tmp_path):
+    scn = tmp_path / "bom.scn"
+    scn.write_bytes(b"\xef\xbb\xbf" + default_scn.read_bytes())
+    assert run_cli("demo", "--scenario", str(scn)) == (0, FROZEN_DEMO_LINE, "")
 
 
 def test_demo_empty_ad_yields_empty_log(run_cli, tmp_path):

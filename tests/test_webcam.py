@@ -24,13 +24,12 @@ AD_SCENARIO = 'set IP "Ads Inc"\nemit Camera picture(640x480,seed=7)\n'
 
 
 def test_shipped_example_file_is_the_canonical_spec(webcam_scc):
-    text = webcam_scc.read_text(encoding="utf-8")
-    assert text == WEBCAM_SPEC
-    assert parse(text) == webcam_spec()
+    assert webcam_scc.read_bytes() == WEBCAM_SPEC.encode("utf-8")  # bytes: no newline translation
+    assert parse(WEBCAM_SPEC) == webcam_spec()
 
 
 def test_shipped_default_scenario_matches_bundled_one(default_scn):
-    assert default_scn.read_text(encoding="utf-8") == DEFAULT_SCENARIO
+    assert default_scn.read_bytes() == DEFAULT_SCENARIO.encode("utf-8")
 
 
 def test_nonempty_ad_scenario_delivers_one_composed_frame():
