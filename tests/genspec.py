@@ -312,6 +312,20 @@ def publish_chain(length: int) -> Specification:
     ))
 
 
+def ladder(n: int) -> Specification:
+    """Source T wakes P0, each P<i> wakes P<i + 1> and pulls its own source S<i>, and
+    controller C sends what P<n - 1> publishes to A: 2n + 3 declarations, and the source
+    ancestors of P<i> are T and S0..S<i>, so the ancestor sets hold O(n²) names in all."""
+    return Specification((
+        SourceDecl("T", DataType.INT),
+        ActionDecl("A", DataType.INT),
+        *(decl for i in range(n) for decl in (
+            SourceDecl(f"S{i}", DataType.INT),
+            ContextDecl(f"P{i}", DataType.INT, when_provided(f"P{i - 1}" if i else "T", PublishSpec.ALWAYS, f"S{i}")))),
+        ControllerDecl("C", f"P{n - 1}", "A"),
+    ))
+
+
 def drive(app: GeneratedApp, seed: int, emissions: int = 20) -> None:
     """Pre-set every source, then emit a deterministic random sequence."""
     rng = random.Random(seed ^ 0x5EED)

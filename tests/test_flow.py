@@ -1,6 +1,8 @@
 """Static information-flow graph: construction, reachability, exports."""
 
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -21,6 +23,7 @@ from scckit import (
     build_flow_graph,
     export_graph,
     source_ancestors,
+    validate,
     webcam_spec,
     when_provided,
     when_required,
@@ -221,21 +224,22 @@ def test_exports_order_parallel_edges_by_kind():
 
 
 def _closure_oracle(graph: FlowGraph):
-    """Floyd-Warshall reachability; independent of the walk in the library."""
-    names = [n.name for n in graph.nodes]
-    reach = {a: {b: False for b in names} for a in names}
+    """Floyd-Warshall reachability; independent of the walk in the library. Names that
+    edges mention but no node has are vertices too, and get no answer."""
+    vertices = list(dict.fromkeys([n.name for n in graph.nodes] + [v for e in graph.edges for v in (e.src, e.dst)]))
+    reach = {a: {b: False for b in vertices} for a in vertices}
     for e in graph.edges:
         reach[e.src][e.dst] = True
-    for k in names:
-        for a in names:
+    for k in vertices:
+        for a in vertices:
             if reach[a][k]:
-                for b in names:
+                for b in vertices:
                     if reach[k][b]:
                         reach[a][b] = True
     sources = {n.name for n in graph.nodes if n.kind == "source"}
     return {
-        n: {s for s in sources if s == n or reach[s][n]}
-        for n in names
+        n.name: {s for s in sources if s == n.name or reach[s][n.name]}
+        for n in graph.nodes
     }
 
 
@@ -300,13 +304,59 @@ def test_ancestor_answers_are_fresh_sets():
     assert source_ancestors(graph, "Screen") is not source_ancestors(graph, "Screen")
 
 
+def _views_and_answers(graph: FlowGraph):
+    """Both exports and every node's ancestors, in that order."""
+    return (export_graph(graph, "dot"), export_graph(graph, "json"),
+            {n.name: source_ancestors(graph, n.name) for n in graph.nodes})
+
+
+def _answers_and_views(graph: FlowGraph):
+    """Every node's ancestors, then both exports: the same results as ``_views_and_answers``."""
+    answers = {n.name: source_ancestors(graph, n.name) for n in graph.nodes}
+    return export_graph(graph, "dot"), export_graph(graph, "json"), answers
+
+
 def test_queried_graph_equals_and_hashes_as_fresh_one():
-    queried, fresh = build_flow_graph(webcam_spec()), build_flow_graph(webcam_spec())
-    source_ancestors(queried, "Display")
-    export_graph(queried, "dot")
-    assert queried == fresh
-    assert hash(queried) == hash(fresh)
-    assert repr(queried) == repr(fresh)
+    # The export order and the ancestor masks a graph keeps once asked are invisible: exports,
+    # answers, equality, hash and repr stay those of a fresh graph, also on copies and pickles.
+    specs = [webcam_spec(), _odd_spec()] + [genspec.random_app(seed).spec for seed in range(20)]
+    for i, spec in enumerate(specs):
+        fresh = build_flow_graph(spec)
+        expected = _dot_oracle(fresh), _json_oracle(fresh), _closure_oracle(fresh)
+        for first in (_views_and_answers, _answers_and_views):
+            used = build_flow_graph(spec)
+            assert first(used) == expected, (i, first.__name__)
+            assert used.__dict__.keys() >= {"_order", "_ancestry"}
+            clones = copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))
+            for graph in (used, *clones):
+                assert graph == fresh and not graph != fresh, i
+                assert hash(graph) == hash(fresh), i
+                assert repr(graph) == repr(fresh), i
+            for clone in clones:
+                assert _views_and_answers(clone) == expected, i
+                assert _answers_and_views(clone) == expected, i
+        assert fresh.__dict__.keys() == {"nodes", "edges"}
+
+
+def test_exports_sort_each_graph_once():
+    graph = build_flow_graph(genspec.random_app(3).spec)
+    export_graph(graph, "json")
+    order = graph.__dict__["_order"]
+    assert export_graph(graph, "dot") == _dot_oracle(graph)
+    assert export_graph(graph, "json") == _json_oracle(graph)
+    assert graph.__dict__["_order"] is order
+
+
+def test_source_ancestors_with_duplicate_node_names():
+    # An unvalidated graph may repeat a name; it is a source if any node of that name is one.
+    for nodes in ((FlowNode("X", "context"), FlowNode("X", "source")),
+                  (FlowNode("X", "source"), FlowNode("X", "context")),
+                  (FlowNode("X", "source"), FlowNode("X", "source"))):
+        graph = FlowGraph(nodes + (FlowNode("S", "source"), FlowNode("Y", "action")),
+                          (FlowEdge("X", "Y", "command"), FlowEdge("S", "X", "publish")))
+        assert source_ancestors(graph, "X") == {"S", "X"}
+        assert source_ancestors(graph, "Y") == {"S", "X"}
+        assert {name: source_ancestors(graph, name) for name in ("X", "S", "Y")} == _closure_oracle(graph)
 
 
 def test_edge_count_bound_over_generated_specs():
@@ -330,3 +380,49 @@ def test_adding_declarations_never_removes_ancestors():
     g_base, g_grown = build_flow_graph(base), build_flow_graph(grown)
     for node in g_base.nodes:
         assert source_ancestors(g_base, node.name) <= source_ancestors(g_grown, node.name)
+
+
+def test_ladder_ancestors_follow_the_closed_form():
+    # P<i>'s ancestors are T and S0..S<i>; at 4,000 stages they hold 8 million names in all.
+    n = 4000
+    spec = genspec.ladder(n)
+    assert validate(spec) == []
+    graph = build_flow_graph(spec)
+    for i in (n - 1, 0, 1, 2, 1000, 2047, n - 2, *random.Random(4).sample(range(n), 8)):
+        assert source_ancestors(graph, f"P{i}") == {"T", *(f"S{j}" for j in range(i + 1))}, i
+        assert source_ancestors(graph, f"S{i}") == {f"S{i}"}, i
+    everything = {"T", *(f"S{j}" for j in range(n))}
+    assert source_ancestors(graph, "C") == source_ancestors(graph, "A") == everything
+    assert source_ancestors(graph, "T") == {"T"}
+
+
+def test_ladder_agrees_with_closure_oracle_with_and_without_back_edges():
+    for n in range(1, 7):
+        base = build_flow_graph(genspec.ladder(n))
+        last = f"P{n - 1}"
+        graphs = [base] + [FlowGraph(base.nodes, base.edges + extra) for extra in (
+            # A cycle through every stage; an edge into a source halfway up; a cycle through every
+            # node, and a self-loop; a cycle through a name that is no node.
+            (FlowEdge(last, "P0", "publish"),),
+            (FlowEdge(last, f"S{n // 2}", "publish"),),
+            (FlowEdge("A", "T", "command"), FlowEdge(last, last, "publish")),
+            (FlowEdge(last, "Ghost", "publish"), FlowEdge("Ghost", "P0", "pull")),
+        )]
+        for graph in graphs:
+            oracle = _closure_oracle(graph)
+            added = graph.edges[len(base.edges):]
+            assert {name: source_ancestors(graph, name) for name in oracle} == oracle, (n, added)
+
+
+def test_source_ancestors_exact_on_cyclic_graphs_through_names_that_are_no_nodes():
+    rng = random.Random(12)
+    for i in range(300):
+        graph = _random_graph(rng)
+        names = [n.name for n in graph.nodes] + ["g0", "g1"]
+        extra = tuple(FlowEdge(rng.choice(names), rng.choice(names), "pull") for _ in range(rng.randint(1, 6)))
+        graph = FlowGraph(graph.nodes, graph.edges + extra)
+        oracle = _closure_oracle(graph)
+        assert {name: source_ancestors(graph, name) for name in oracle} == oracle, (i, graph)
+        for ghost in ("g0", "g1"):
+            with pytest.raises(KernelError):
+                source_ancestors(graph, ghost)
