@@ -20,6 +20,9 @@ but to trace it.
 A single engine instance is single-threaded. Capability and continuation
 handles are the bound methods of one activation; calling one after it ends
 is a fault. A drain's first fault is kept (``_record``); every handle raises it.
+The action log holds each delivery's action name and ``TaintedValue`` in two lists
+side by side, and ``action_log()`` pairs them at each read, so a delivery keeps two
+objects the cycle collector tracks (its ``TaintedValue`` and ``Value``), not three.
 """
 
 from __future__ import annotations
@@ -149,18 +152,25 @@ class _Activation:
 
     __slots__ = ("rt", "plan", "taints", "fired")  # fired: a continuation has taken effect
 
-    def _live(self):
-        """A handle works only while its activation runs on top, and not after a fault."""
-        stack = self.rt._stack
+    def _refuse(self):
+        """Raise why a handle may not take effect: a handle works only while its activation
+        runs on top and no fault is kept, and a continuation only once. Each handle tests
+        that in line and calls this only when the test fails."""
+        rt = self.rt
+        stack = rt._stack
         if not stack or stack[-1] is not self:
-            raise self.rt._record(RuntimeFault("STALE_HANDLE", "handle used outside the activation it "
-                                               "was granted to", self.plan.name))
-        if self.rt._fault is not None:
-            raise self.rt._fault
+            raise rt._record(RuntimeFault("STALE_HANDLE", "handle used outside the activation it "
+                                          "was granted to", self.plan.name))
+        if rt._fault is not None:
+            raise rt._fault
+        raise rt._record(RuntimeFault("DOUBLE_CONTINUATION", "a continuation was already "
+                                      "invoked in this activation", self.plan.name))
 
     def get(self):
-        self._live()
         rt, plan = self.rt, self.plan
+        stack = rt._stack
+        if not stack or stack[-1] is not self or rt._fault is not None:
+            self._refuse()
         target, v = plan.target, None
         if target.impl is not None:  # a pull-activated context
             payload, taints = target.run(rt, None, _NO_TAINTS)
@@ -184,22 +194,28 @@ class _Activation:
         return payload
 
     def do(self, payload):
-        self._live()
         rt, target = self.rt, self.plan.target
+        stack = rt._stack
+        if not stack or stack[-1] is not self or rt._fault is not None:
+            self._refuse()
         if not target.accepts(payload):
             raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"value sent to '{target.name}' must be "
                                           f"{target.tag}, got {payload!r}", self.plan.name))
         v = Value(target.tag, payload)
         rt._call_out("PLATFORM_FAULT", target.name, "sink", target.resource, v)
-        rt._log.append((target.name, TaintedValue(v, self.taints)))
+        rt._log_names.append(target.name)
+        rt._log_values.append(TaintedValue(v, self.taints))
 
     def publish(self, payload):
-        self._fire()
-        plan = self.plan
+        rt, plan = self.rt, self.plan
+        stack = rt._stack
+        if not stack or stack[-1] is not self or rt._fault is not None or self.fired:
+            self._refuse()
+        self.fired = True
         if not plan.accepts(payload):
-            raise self.rt._record(RuntimeFault("CONTRACT_VIOLATION", f"published value must be "
-                                               f"{plan.tag}, got {payload!r}", plan.name))
-        append, taints = self.rt._queue.append, self.taints
+            raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"published value must be "
+                                          f"{plan.tag}, got {payload!r}", plan.name))
+        append, taints = rt._queue.append, self.taints
         for subscriber in plan.subscribers:
             append((subscriber, payload, taints))
         if plan.publish_returns:  # the implementation returns right after this call
@@ -207,19 +223,14 @@ class _Activation:
         raise _ActivationEscape(self)
 
     def nopublish(self):
-        self._fire()
+        rt = self.rt
+        stack = rt._stack
+        if not stack or stack[-1] is not self or rt._fault is not None or self.fired:
+            self._refuse()
+        self.fired = True
         if self.plan.nopublish_returns:
             return
         raise _ActivationEscape(self)
-
-    def _fire(self):
-        """``_live``, inlined, for a continuation, which takes effect once."""
-        stack = self.rt._stack
-        if not stack or stack[-1] is not self or self.rt._fault is not None or self.fired:
-            self._live()  # raises STALE_HANDLE or the fault, if either comes first
-            raise self.rt._record(RuntimeFault("DOUBLE_CONTINUATION", "a continuation was already "
-                                               "invoked in this activation", self.plan.name))
-        self.fired = True
 
 
 class Runtime:
@@ -246,7 +257,8 @@ class Runtime:
         self._queue: deque[tuple[_Plan, object, frozenset[str]]] = deque()
         self._stack: list[_Activation] = []
         self._fault: RuntimeFault | None = None  # the drain's first fault, which every handle raises again
-        self._log: list[tuple[str, TaintedValue]] = []
+        self._log_names: list[str] = []
+        self._log_values: list[TaintedValue] = []
         self._sealed = False
         self._failed = False
         self._emitting = False
@@ -398,8 +410,9 @@ class Runtime:
                           component=name)
 
     def action_log(self) -> tuple[tuple[str, TaintedValue], ...]:
-        """Every action delivery its sink accepted so far, in delivery order."""
-        return tuple(self._log)
+        """Every action delivery its sink accepted so far, in delivery order, as
+        ``(action, TaintedValue)`` pairs made at each read."""
+        return tuple(zip(self._log_names, self._log_values))
 
     # -- blame -------------------------------------------------------------
 

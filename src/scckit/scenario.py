@@ -99,8 +99,8 @@ def parse_scenario(text: str, origin: str = "<memory>") -> Scenario:
         lit = _LITERAL_RE.match(line, at) if name else None
         string, closed, escape, word, width, height, seed, number = lit.groups() if lit else (None,) * 8
         value = None
-        if cmd is None:
-            detail = "expected 'set' or 'emit'"
+        if cmd is None:  # name an invisible character, which the column alone does not show
+            detail = "expected 'set' or 'emit'" + ("" if line[at].isprintable() else f", found {line[at]!r}")
         elif name is None:
             detail = "expected a source name"
         elif lit is None:

@@ -2,7 +2,9 @@
 
 import contextlib
 import dataclasses
+import enum
 import functools
+import gc
 import inspect
 import sys
 import textwrap
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genspec
+import reference
 import scckit.runtime
 import scckit.webcam as webcam
 from scckit import (
@@ -45,6 +48,7 @@ from scckit import (
     when_required,
 )
 from scckit.decls import MAX_PULL_DEPTH
+from scckit.values import INT64_MAX, INT64_MIN
 
 INT, STRING = DataType.INT, DataType.STRING
 
@@ -728,6 +732,46 @@ def test_action_log_reads_are_equal_tuples_of_tainted_values():
     assert [type(ev.value) for ev in events] == [TaintedValue] * 4  # P and C, twice
 
 
+def test_a_delivery_keeps_two_tracked_objects_and_the_log_pairs_them_at_each_read():
+    """The log holds a delivery's action name and ``TaintedValue`` side by side: with the
+    collector off, n deliveries through a sink that drops its values add exactly 2n objects
+    it tracks (each ``TaintedValue`` and its ``Value``), and no pair tuple."""
+    n, refused = 400, 10**6
+
+    def sink(value):
+        if value.payload == refused + 1:
+            raise OSError("screen unplugged")
+
+    rt = create_runtime(CHAIN)
+    for name, impl in chain_impls().items():
+        rt.register(name, impl)
+    rt.bind_source("S", ScriptedSource())
+    rt.bind_action("A", sink)
+    rt.seal()
+    values = [int_value(i) for i in range(n + 1)]
+    rt.emit("S", values[0])  # the first emit, which may fill caches, is not counted
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        for v in values[1:]:
+            rt.emit("S", v)
+        held = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert held == 2 * n
+
+    want = tuple(("A", TaintedValue(int_value(i + 1), frozenset({"S"}))) for i in range(n + 1))
+    first, second = rt.action_log(), rt.action_log()
+    assert first == second == want and first is not second
+    assert all(type(entry) is tuple and type(entry[0]) is str and type(entry[1]) is TaintedValue
+               and a is not b for entry, a, b in zip(first, first, second))
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(refused))  # the sink refuses what C sends: nothing is logged
+    assert err.value.code == "PLATFORM_FAULT" and rt.failed
+    assert rt.action_log() == want  # a poisoned runtime's log stays readable
+
+
 @pytest.mark.parametrize("swallow", [False, True])
 def test_failing_sink_is_a_platform_fault_of_its_action(swallow):
     def sink(value):
@@ -979,6 +1023,7 @@ LENDING = Specification((
     ContextDecl("P", INT, when_provided("S", PublishSpec.MAYBE, get="R")),
     ControllerDecl("C", "P", "A"),
 ))
+HANDLE_ARGUMENTS = {"get": (), "do": (5,), "publish": (5,), "nopublish": ()}
 
 
 def test_handle_borrowed_by_another_activation_is_stale():
@@ -1008,6 +1053,135 @@ def test_handle_borrowed_by_another_activation_is_stale():
             rt.emit("S", int_value(2))
         assert (err.value.code, err.value.component) == ("STALE_HANDLE", owner), borrowed
         assert sinks["A"].deliveries == [int_value(1)] * (borrowed == "do")
+
+
+# How each handle of LENDING fails, by how it is misused, as (code, component), or None
+# when it works: after its activation ended, while another activation is on top, after a
+# fault its implementation swallowed, and used a second time in its live activation.
+MISUSES = {
+    "ended": {"get": ("STALE_HANDLE", "P"), "do": ("STALE_HANDLE", "C"),
+              "publish": ("STALE_HANDLE", "P"), "nopublish": ("STALE_HANDLE", "P")},
+    "other on top": {"get": ("STALE_HANDLE", "P"), "do": ("STALE_HANDLE", "C"),
+                     "publish": ("STALE_HANDLE", "P"), "nopublish": ("STALE_HANDLE", "P")},
+    "swallowed fault": {"get": ("IMPLEMENTATION_PANIC", "R"), "do": ("PLATFORM_FAULT", "A"),
+                        "publish": ("IMPLEMENTATION_PANIC", "R"), "nopublish": ("IMPLEMENTATION_PANIC", "R")},
+    "second use": {"get": None, "do": None,
+                   "publish": ("DOUBLE_CONTINUATION", "P"), "nopublish": ("DOUBLE_CONTINUATION", "P")},
+}
+
+
+def _misuse_app(handle, misuse):
+    """LENDING's implementations, sink and steps in which ``handle`` is misused as ``misuse`` says."""
+    stash, args, calls = {}, HANDLE_ARGUMENTS[handle], []
+
+    def r_impl():
+        calls.append("R")
+        if misuse == "other on top" and handle in stash:
+            stash[handle](*args)  # P's live handle, or on the second emit C's ended do
+        if misuse == "swallowed fault" and handle != "do":
+            raise ValueError("R broke")
+        return 0
+
+    def p_impl(v, get, publish, nopublish):
+        own = {"get": get, "publish": publish, "nopublish": nopublish}
+        stash.update(own)
+        if handle in own and misuse == "swallowed fault":
+            with contextlib.suppress(Exception):
+                get()
+            own[handle](*args)
+        if handle in own and misuse == "second use":
+            with contextlib.suppress(BaseException):  # a continuation's escape, too
+                own[handle](*args)
+            own[handle](*args)
+        publish(v + get())
+
+    def c_impl(v, do):
+        stash["do"] = do
+        if handle == "do" and misuse != "ended":
+            with contextlib.suppress(Exception):
+                do(v)
+        do(v)
+
+    def sink(value):
+        calls.append("A")
+        if handle == "do" and misuse == "swallowed fault":
+            raise OSError("screen unplugged")
+
+    steps = [lambda rt: rt.emit("S", int_value(1))]
+    if misuse == "ended":
+        steps.append(lambda rt: stash[handle](*args))
+    elif handle == "do" and misuse == "other on top":
+        steps.append(lambda rt: rt.emit("S", int_value(2)))
+    return {"R": r_impl, "P": p_impl, "C": c_impl}, sink, steps, calls
+
+
+@pytest.mark.parametrize("misuse", MISUSES)
+@pytest.mark.parametrize("handle", HANDLE_ARGUMENTS)
+def test_each_misused_handle_fails_as_the_reference_does(handle, misuse):
+    """Each misuse of a handle fails with the code and component ``MISUSES`` gives it, and the
+    kernel and the reference agree on the fault's message, the log, ``failed`` and the calls
+    of R and of the sink: a handle refused after a fault calls neither again."""
+    seen = []
+    for make in ("kernel", "reference"):
+        impls, sink, steps, calls = _misuse_app(handle, misuse)
+        source = ScriptedSource(int_value(3))
+        if make == "kernel":
+            rt = create_runtime(LENDING)
+            for name, impl in impls.items():
+                rt.register(name, impl)
+            rt.bind_source("S", source)
+            rt.bind_action("A", sink)
+            rt.seal()
+        else:
+            rt = reference.Reference(LENDING, impls, {"S": source}, {"A": sink})
+        try:
+            for step in steps:
+                step(rt)
+            outcome = None
+        except KernelError as err:
+            outcome = (err.code, err.component), str(err)
+        seen.append((outcome, rt.action_log(), rt.failed, calls))
+    assert seen[0] == seen[1]
+    outcome, _, failed, _ = seen[0]
+    assert (outcome and outcome[0]) == MISUSES[misuse][handle]
+    assert failed is (misuse != "ended" and outcome is not None)
+
+
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Count(int):
+    pass
+
+
+# Each INT payload, and whether an INT boundary admits it (what the reference's ``has_type`` says).
+INT_PAYLOADS = [(INT64_MIN, True), (INT64_MAX, True), (INT64_MIN - 1, False), (INT64_MAX + 1, False),
+                (True, False), (False, False), (_Level.HIGH, True), (_Count(7), True), (1.0, False)]
+# Where an INT payload crosses from an implementation or the platform into the kernel, and
+# the fault's code and component when it is refused there (see the LENDING spec).
+INT_SITES = {"emit": ("TYPE_MISMATCH", "S"), "publish": ("CONTRACT_VIOLATION", "P"),
+             "do": ("CONTRACT_VIOLATION", "C"), "return": ("CONTRACT_VIOLATION", "R")}
+
+
+@pytest.mark.parametrize("site", INT_SITES)
+@pytest.mark.parametrize("payload,admitted", INT_PAYLOADS, ids=repr)
+def test_int_boundaries_admit_exactly_int64_ints_and_not_bools(site, payload, admitted):
+    assert reference.has_type(payload, INT) is admitted
+
+    def p_impl(v, get, publish, nopublish):
+        pulled = get()
+        publish(payload if site == "publish" else pulled if site == "return" else v)
+
+    impls = {"R": lambda: payload if site == "return" else 0, "P": p_impl,
+             "C": lambda v, do: do(payload if site == "do" else v)}
+    rt, _, sinks = wire(LENDING, impls)
+    try:
+        rt.emit("S", Value(INT, payload if site == "emit" else 1))
+    except KernelError as err:
+        assert not admitted and (err.code, err.component) == INT_SITES[site]
+    else:
+        assert admitted and sinks["A"].deliveries[0].payload is payload
 
 
 def test_every_handle_raises_the_swallowed_fault_again():
@@ -1113,7 +1287,6 @@ SHAPES = {
     "maybe_publish get": (when_provided("S", PublishSpec.MAYBE, get="T"), ("get", "publish", "nopublish")),
     "controller": (None, ("do",)),
 }
-HANDLE_ARGUMENTS = {"get": (), "do": (5,), "publish": (5,), "nopublish": ()}
 
 
 def _shape_app(contract):

@@ -80,6 +80,9 @@ def test_parse_errors_carry_positions(text, line, col_fragment):
 @pytest.mark.parametrize("text,col,detail", [
     ("\xa0go IP 1", 2, "expected 'set' or 'emit'"),
     ("setIP 1", 1, "expected 'set' or 'emit'"),
+    ('\ufeffset IP "x"', 1, "expected 'set' or 'emit', found '\\ufeff'"),
+    ("\u200bemit Camera 1", 1, "expected 'set' or 'emit', found '\\u200b'"),
+    ("\t\x00set IP 1", 2, "expected 'set' or 'emit', found '\\x00'"),
     ("emit\x1f9bad 1", 6, "expected a source name"),
     ("set IP\u3000", 8, "expected a literal"),
     ("set IP maybe # no", 8, "expected a literal, found 'maybe # no'"),
@@ -160,7 +163,8 @@ def _parse_line(line: str, lineno: int, origin: str):
         return None
     cmd = _CMD_RE.match(line, i)
     if cmd is None:
-        raise _err(origin, lineno, i + 1, "expected 'set' or 'emit'")
+        found = "" if line[i].isprintable() else f", found {line[i]!r}"
+        raise _err(origin, lineno, i + 1, "expected 'set' or 'emit'" + found)
     i = _skip_spaces(line, cmd.end())
     name = NAME_RE.match(line, i)
     if name is None:
@@ -240,7 +244,7 @@ _LITERALS = ("true", "false", "truex", "false\u00e9", "0", "-12", "007", "-", "\
              "picture(640x480,seed=7)", "picture(8x8,seed=-1)", "picture(0x5,seed=1)", "picture(3x0,seed=1)",
              f"picture(1x1,seed={INT64_MAX + 1})", f"picture(1x1,seed={INT64_MIN - 1})",
              "picture(\u0663x4,seed=1)", "picture(640x480)", "picture", "pictures", "")
-_HEADS = ("set", "emit") * 8 + ("sets", "emit\u00e9", "go", "#", "")
+_HEADS = ("set", "emit") * 8 + ("sets", "emit\u00e9", "go", "#", "", "\ufeffset", "\u200bemit")
 _NAMES = ("IP", "Camera", "x_2") * 4 + ("9bad", "\u00e9", "IP\u00e9", "A\u0663", "")
 _TAILS = ("", "# note", "#") * 3 + ("x", "1", "\u0663", '"s"', "\u00e9")
 
