@@ -87,7 +87,11 @@ def derive_contract(spec: Specification, name: str) -> BoundaryContract:
         return BoundaryContract(name, activation, capability, c.publish, decl.out_type, _NO_RETURN)
     if isinstance(decl, ControllerDecl):
         action = spec.find(decl.action)
-        assert isinstance(action, ActionDecl)
+        if action is None:
+            raise KernelError("NOT_FOUND", f"'{decl.action}' is not declared", component=decl.action)
+        if not isinstance(action, ActionDecl):
+            raise KernelError("WRONG_KIND", f"'{decl.action}' is {_article(action.kind)} and has no input type",
+                              component=decl.action)
         return BoundaryContract(name, output_type_of(spec, decl.trigger),
                                 Capability(_DO, decl.action, action.in_type), _NO_PUBLISH, None, _RETURNS_NOTHING)
     raise KernelError("WRONG_KIND", f"'{name}' is {_article(decl.kind)}; only contexts and controllers "

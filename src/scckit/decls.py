@@ -191,6 +191,14 @@ def _article(kind: str) -> str:
     return ("an " if kind[0] in "aeiou" else "a ") + kind
 
 
+# The four references a declaration makes, one row each: the label a missing name gets, the label
+# a name of the wrong kind gets, the kinds it may name, and what a wrong kind is told to expect.
+_CONTEXT_TRIGGER = ("trigger", "trigger", (SourceDecl, ContextDecl), "expected a source or context")
+_GET_TARGET = ("get target", "get target", (SourceDecl, ContextDecl), "expected a source or when-required context")
+_CONTROLLER_TRIGGER = ("trigger", "trigger", ContextDecl, "controllers are triggered by contexts")
+_DO_TARGET = ("action", "do target", ActionDecl, "expected an action")
+
+
 def validate(spec: Specification) -> list[Diagnostic]:
     """Check every structural rule; empty result means the spec is well-formed.
 
@@ -210,69 +218,49 @@ def validate(spec: Specification) -> list[Diagnostic]:
             diags.append(Diagnostic(i, "DUP_NAME", f"'{decl.name}' is already declared"))
         seen.add(decl.name)
         if isinstance(decl, ControllerDecl):
-            diags.extend(_check_controller(i, decl, table))
+            _resolve(i, decl.trigger, _CONTROLLER_TRIGGER, table, diags)
+            _resolve(i, decl.action, _DO_TARGET, table, diags)
         if not isinstance(decl, ContextDecl):
             continue
-        diags.extend(_check_context(i, decl, table))
-        if decl.name in pulls and decl.contract.trigger is None:
+        c = decl.contract
+        if c.trigger is None and c.publish is not _NO_PUBLISH:
+            diags.append(Diagnostic(i, "BAD_PUBLISH_SPEC",
+                                    "publish specification is not allowed with when-required activation"))
+        if c.trigger is not None and c.publish is _NO_PUBLISH:
+            diags.append(Diagnostic(i, "BAD_PUBLISH_SPEC",
+                                    "when-provided contexts must declare always_publish or maybe_publish"))
+        if c.trigger is not None:
+            _resolve(i, c.trigger, _CONTEXT_TRIGGER, table, diags)
+        if c.get_target is not None:
+            pulled = _resolve(i, c.get_target, _GET_TARGET, table, diags)
+            if isinstance(pulled, ContextDecl) and pulled.contract.trigger is not None:
+                diags.append(Diagnostic(i, "PULL_NOT_REQUIRED",
+                                        f"get target '{c.get_target}' is not a when-required context"))
+        if decl.name in pulls and c.trigger is None:
             diags.append(Diagnostic(i, "GET_CYCLE", f"get dependencies of '{decl.name}' form a cycle"))
-        elif decl.name in publishes and decl.contract.trigger is not None:
+        elif decl.name in publishes and c.trigger is not None:
             diags.append(Diagnostic(i, "PUBLISH_CYCLE", f"publish triggers of '{decl.name}' form a cycle"))
         # A pull of a context nests every when-required context on its target's chain.
-        depth = depths.get(decl.contract.get_target, 0)
+        depth = depths.get(c.get_target, 0)
         if depth > MAX_PULL_DEPTH:
             diags.append(Diagnostic(i, "PULL_TOO_DEEP", f"get chain of '{decl.name}' nests {depth} "
                                     f"when-required contexts; the limit is {MAX_PULL_DEPTH}"))
     return diags
 
 
-def _check_context(i: int, decl: ContextDecl, table: dict[str, Declaration]) -> list[Diagnostic]:
-    out = []
-    c = decl.contract
-    if c.trigger is None and c.publish is not _NO_PUBLISH:
-        out.append(Diagnostic(i, "BAD_PUBLISH_SPEC",
-                              "publish specification is not allowed with when-required activation"))
-    if c.trigger is not None and c.publish is _NO_PUBLISH:
-        out.append(Diagnostic(i, "BAD_PUBLISH_SPEC",
-                              "when-provided contexts must declare always_publish or maybe_publish"))
-    if c.trigger is not None:
-        trig = table.get(c.trigger)
-        if trig is None:
-            out.append(Diagnostic(i, "UNRESOLVED_REF", f"trigger '{c.trigger}' is not declared"))
-        elif not isinstance(trig, (SourceDecl, ContextDecl)):
-            out.append(Diagnostic(i, "BAD_TRIGGER_KIND",
-                                  f"trigger '{c.trigger}' is {_article(trig.kind)}; expected a source or context"))
-    if c.get_target is not None:
-        target = table.get(c.get_target)
-        if target is None:
-            out.append(Diagnostic(i, "UNRESOLVED_REF", f"get target '{c.get_target}' is not declared"))
-        elif isinstance(target, ContextDecl):
-            if target.contract.trigger is not None:
-                out.append(Diagnostic(i, "PULL_NOT_REQUIRED",
-                                      f"get target '{c.get_target}' is not a when-required context"))
-        elif not isinstance(target, SourceDecl):
-            out.append(Diagnostic(i, "BAD_TRIGGER_KIND",
-                                  f"get target '{c.get_target}' is {_article(target.kind)}; "
-                                  "expected a source or when-required context"))
-    return out
-
-
-def _check_controller(i: int, decl: ControllerDecl, table: dict[str, Declaration]) -> list[Diagnostic]:
-    out = []
-    trig = table.get(decl.trigger)
-    if trig is None:
-        out.append(Diagnostic(i, "UNRESOLVED_REF", f"trigger '{decl.trigger}' is not declared"))
-    elif not isinstance(trig, ContextDecl):
-        out.append(Diagnostic(i, "BAD_TRIGGER_KIND",
-                              f"trigger '{decl.trigger}' is {_article(trig.kind)}; "
-                              "controllers are triggered by contexts"))
-    act = table.get(decl.action)
-    if act is None:
-        out.append(Diagnostic(i, "UNRESOLVED_REF", f"action '{decl.action}' is not declared"))
-    elif not isinstance(act, ActionDecl):
-        out.append(Diagnostic(i, "BAD_TRIGGER_KIND",
-                              f"do target '{decl.action}' is {_article(act.kind)}; expected an action"))
-    return out
+def _resolve(i: int, name: str, row: tuple, table: dict[str, Declaration],
+             diags: list[Diagnostic]) -> Declaration | None:
+    """The declaration that reference ``name`` of declaration ``i`` names under ``row``, one of the four
+    above; None, after appending the one diagnostic it gets, when it is missing or of the wrong kind."""
+    missing, wrong, kinds, expected = row
+    found = table.get(name)
+    if found is None:
+        diags.append(Diagnostic(i, "UNRESOLVED_REF", f"{missing} '{name}' is not declared"))
+    elif not isinstance(found, kinds):
+        diags.append(Diagnostic(i, "BAD_TRIGGER_KIND", f"{wrong} '{name}' is {_article(found.kind)}; {expected}"))
+    else:
+        return found
+    return None
 
 
 def _chains(successor: dict[str, str | None]) -> tuple[set[str], dict[str, int]]:

@@ -6,6 +6,7 @@ import genspec
 from scckit import (
     CapabilityKind,
     ContextDecl,
+    ControllerDecl,
     DataType,
     KernelError,
     PublishSpec,
@@ -82,6 +83,22 @@ def test_derive_contract_rejects_resources_and_unknowns(webcam):
     with pytest.raises(KernelError) as err:
         derive_contract(webcam, "Nonesuch")
     assert err.value.code == "NOT_FOUND"
+
+
+@pytest.mark.parametrize("action, expected", [
+    ("Nope", "NOT_FOUND [Nope]: 'Nope' is not declared"),
+    ("S", "WRONG_KIND [S]: 'S' is a source and has no input type"),
+])
+def test_controller_contract_names_a_do_target_that_is_no_action(action, expected):
+    spec = Specification((  # not validated: K's do target is undeclared, or a source
+        SourceDecl("S", DataType.INT),
+        ContextDecl("C", DataType.INT, when_provided("S", PublishSpec.ALWAYS)),
+        ControllerDecl("K", "C", action),
+    ))
+    for derive in (lambda: derive_contract(spec, "K"), lambda: derive_all(spec)):
+        with pytest.raises(KernelError) as err:
+            derive()
+        assert (str(err.value), err.value.component) == (expected, action)
 
 
 def test_bare_when_required_contract_renders_to_thunk_type():

@@ -40,6 +40,10 @@ def codes(spec):
     return [d.code for d in validate(spec)]
 
 
+def triples(spec):
+    return [(d.index, d.code, d.message) for d in validate(spec)]
+
+
 def test_webcam_spec_validates_clean():
     assert validate(webcam_spec()) == []
 
@@ -50,9 +54,7 @@ def test_empty_spec_validates_clean():
 
 def test_duplicate_name():
     spec = Specification((SourceDecl("Camera", PICTURE), SourceDecl("Camera", STRING)))
-    report = validate(spec)
-    assert [d.code for d in report] == ["DUP_NAME"]
-    assert report[0].index == 1
+    assert triples(spec) == [(1, "DUP_NAME", "'Camera' is already declared")]
 
 
 def test_pull_target_must_be_when_required():
@@ -62,14 +64,16 @@ def test_pull_target_must_be_when_required():
         ContextDecl("ComposeDisplay", PICTURE,
                     when_provided("ProcessPicture", PublishSpec.MAYBE, get="ProcessPicture")),
     ))
-    assert codes(spec) == ["PULL_NOT_REQUIRED"]
+    assert triples(spec) == [
+        (2, "PULL_NOT_REQUIRED", "get target 'ProcessPicture' is not a when-required context")]
 
 
 def test_when_required_must_not_publish():
     spec = Specification((
         ContextDecl("X", INT, InteractionContract(None, None, PublishSpec.ALWAYS)),
     ))
-    assert codes(spec) == ["BAD_PUBLISH_SPEC"]
+    assert triples(spec) == [
+        (0, "BAD_PUBLISH_SPEC", "publish specification is not allowed with when-required activation")]
 
 
 def test_when_provided_needs_publish_spec():
@@ -77,7 +81,8 @@ def test_when_provided_needs_publish_spec():
         SourceDecl("S", INT),
         ContextDecl("X", INT, InteractionContract("S", None, PublishSpec.NO)),
     ))
-    assert codes(spec) == ["BAD_PUBLISH_SPEC"]
+    assert triples(spec) == [
+        (1, "BAD_PUBLISH_SPEC", "when-provided contexts must declare always_publish or maybe_publish")]
 
 
 def test_unresolved_references():
@@ -86,7 +91,12 @@ def test_unresolved_references():
         ContextDecl("Y", INT, when_required(get="Phantom")),
         ControllerDecl("C", "Spook", "Wraith"),
     ))
-    assert codes(spec) == ["UNRESOLVED_REF"] * 4
+    assert triples(spec) == [
+        (0, "UNRESOLVED_REF", "trigger 'Ghost' is not declared"),
+        (1, "UNRESOLVED_REF", "get target 'Phantom' is not declared"),
+        (2, "UNRESOLVED_REF", "trigger 'Spook' is not declared"),
+        (2, "UNRESOLVED_REF", "action 'Wraith' is not declared"),
+    ]
 
 
 def test_get_cycle_between_required_contexts():
@@ -94,7 +104,8 @@ def test_get_cycle_between_required_contexts():
         ContextDecl("R0", INT, when_required(get="R1")),
         ContextDecl("R1", INT, when_required(get="R0")),
     ))
-    assert codes(spec) == ["GET_CYCLE", "GET_CYCLE"]
+    assert triples(spec) == [(0, "GET_CYCLE", "get dependencies of 'R0' form a cycle"),
+                            (1, "GET_CYCLE", "get dependencies of 'R1' form a cycle")]
 
 
 def test_self_get_is_a_cycle():
@@ -165,7 +176,7 @@ def test_context_trigger_must_be_source_or_context():
         ActionDecl("A", INT),
         ContextDecl("X", INT, when_provided("A", PublishSpec.ALWAYS)),
     ))
-    assert codes(spec) == ["BAD_TRIGGER_KIND"]
+    assert triples(spec) == [(1, "BAD_TRIGGER_KIND", "trigger 'A' is an action; expected a source or context")]
 
 
 def test_source_is_a_legal_context_trigger():
@@ -182,7 +193,8 @@ def test_controller_trigger_must_be_context():
         ActionDecl("A", INT),
         ControllerDecl("C", "S", "A"),
     ))
-    assert codes(spec) == ["BAD_TRIGGER_KIND"]
+    assert triples(spec) == [
+        (2, "BAD_TRIGGER_KIND", "trigger 'S' is a source; controllers are triggered by contexts")]
 
 
 def test_controller_do_target_must_be_action():
@@ -191,7 +203,7 @@ def test_controller_do_target_must_be_action():
         ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS)),
         ControllerDecl("C", "P", "S"),
     ))
-    assert codes(spec) == ["BAD_TRIGGER_KIND"]
+    assert triples(spec) == [(2, "BAD_TRIGGER_KIND", "do target 'S' is a source; expected an action")]
 
 
 def test_get_target_must_not_be_an_action():
@@ -200,12 +212,57 @@ def test_get_target_must_not_be_an_action():
         ActionDecl("A", INT),
         ContextDecl("X", INT, when_provided("S", PublishSpec.ALWAYS, get="A")),
     ))
-    assert codes(spec) == ["BAD_TRIGGER_KIND"]
+    assert triples(spec) == [(2, "BAD_TRIGGER_KIND",
+                             "get target 'A' is an action; expected a source or when-required context")]
+
+
+# Each reference that names a declaration of the wrong kind, told the kind it found.
+KINDS = (SourceDecl("S", INT), ActionDecl("A", INT), ContextDecl("R", INT, when_required()),
+         ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS)), ControllerDecl("K", "P", "A"))
+
+
+@pytest.mark.parametrize("decl, message", [
+    (ContextDecl("X", INT, when_provided("K", PublishSpec.ALWAYS)),
+     "trigger 'K' is a controller; expected a source or context"),
+    (ContextDecl("X", INT, when_required(get="K")),
+     "get target 'K' is a controller; expected a source or when-required context"),
+    (ControllerDecl("X", "A", "A"), "trigger 'A' is an action; controllers are triggered by contexts"),
+    (ControllerDecl("X", "K", "A"), "trigger 'K' is a controller; controllers are triggered by contexts"),
+    (ControllerDecl("X", "P", "R"), "do target 'R' is a context; expected an action"),
+    (ControllerDecl("X", "P", "K"), "do target 'K' is a controller; expected an action"),
+])
+def test_wrong_kind_messages_name_the_kind_found(decl, message):
+    assert triples(Specification(KINDS + (decl,))) == [(5, "BAD_TRIGGER_KIND", message)]
+
+
+def test_one_declaration_reports_its_diagnostics_in_a_fixed_order():
+    spec = Specification(KINDS + (
+        ContextDecl("9", INT, InteractionContract("A", "P", PublishSpec.NO)),
+        ContextDecl("9", INT, InteractionContract(None, "Ghost", PublishSpec.MAYBE)),
+        ControllerDecl("K", "Nope", "S"),
+        ContextDecl("Q", INT, InteractionContract("Q", "Q", PublishSpec.NO)),
+    ))
+    assert triples(spec) == [
+        (5, "BAD_NAME", "'9' is not a valid component name"),
+        (5, "BAD_PUBLISH_SPEC", "when-provided contexts must declare always_publish or maybe_publish"),
+        (5, "BAD_TRIGGER_KIND", "trigger 'A' is an action; expected a source or context"),
+        (5, "PULL_NOT_REQUIRED", "get target 'P' is not a when-required context"),
+        (6, "BAD_NAME", "'9' is not a valid component name"),
+        (6, "DUP_NAME", "'9' is already declared"),
+        (6, "BAD_PUBLISH_SPEC", "publish specification is not allowed with when-required activation"),
+        (6, "UNRESOLVED_REF", "get target 'Ghost' is not declared"),
+        (7, "DUP_NAME", "'K' is already declared"),
+        (7, "UNRESOLVED_REF", "trigger 'Nope' is not declared"),
+        (7, "BAD_TRIGGER_KIND", "do target 'S' is a source; expected an action"),
+        (8, "BAD_PUBLISH_SPEC", "when-provided contexts must declare always_publish or maybe_publish"),
+        (8, "PULL_NOT_REQUIRED", "get target 'Q' is not a when-required context"),
+        (8, "PUBLISH_CYCLE", "publish triggers of 'Q' form a cycle"),
+    ]
 
 
 def test_malformed_name_in_programmatic_ast():
     spec = Specification((SourceDecl("9lives", INT),))
-    assert codes(spec) == ["BAD_NAME"]
+    assert triples(spec) == [(0, "BAD_NAME", "'9lives' is not a valid component name")]
 
 
 def test_diagnostics_are_ordered_and_deterministic():

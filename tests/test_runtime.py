@@ -917,11 +917,17 @@ FAN_OUT = Specification((
 ))
 
 
-@pytest.mark.parametrize("replayer", ["P", "C1", "forger"])
+PANIC = "IMPLEMENTATION_PANIC [{}]: implementation raised the escape of another activation's continuation"
+REPLAYED = {"P": PANIC.format("P"), "C1": PANIC.format("C1"), "forger": PANIC.format("C1"),
+            "swallower": "CONTRACT_VIOLATION [C1]: value sent to 'A' must be Int, got 'not an int'"}
+
+
+@pytest.mark.parametrize("replayer", REPLAYED)
 def test_replayed_escape_is_the_panic_of_the_component_that_raises_it(replayer):
     """P keeps the escape its publish raised; P raises it again on the next emit, or C1
     raises it in the same drain, while C2 still waits in the queue. A forger's C1 raises
-    an escape it made itself."""
+    an escape it made itself. A swallower's C1 first swallows the fault of a bad do, which
+    the escape it raises then surfaces."""
     kept = [scckit.runtime._ActivationEscape()] if replayer == "forger" else []
 
     def keeper(v, publish):
@@ -934,6 +940,9 @@ def test_replayed_escape_is_the_panic_of_the_component_that_raises_it(replayer):
             raise
 
     def c1(v, do):
+        if replayer == "swallower":
+            with contextlib.suppress(RuntimeFault):
+                do("not an int")
         if replayer != "P":
             raise kept[0]
         do(v)
@@ -943,9 +952,7 @@ def test_replayed_escape_is_the_panic_of_the_component_that_raises_it(replayer):
         rt.emit("S", int_value(1))
     with pytest.raises(RuntimeFault) as err:
         rt.emit("S", int_value(2))
-    blamed = "P" if replayer == "P" else "C1"
-    assert str(err.value) == (f"IMPLEMENTATION_PANIC [{blamed}]: implementation raised the escape "
-                              "of another activation's continuation")
+    assert str(err.value) == REPLAYED[replayer]
     assert rt.failed and not rt._queue
     assert sinks["A"].deliveries == [int_value(1)] * 2 * (replayer == "P")
 
