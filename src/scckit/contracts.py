@@ -92,6 +92,9 @@ def derive_contract(spec: Specification, name: str) -> BoundaryContract:
         if not isinstance(action, ActionDecl):
             raise KernelError("WRONG_KIND", f"'{decl.action}' is {_article(action.kind)} and has no input type",
                               component=decl.action)
+        if decl.trigger in spec._sources:
+            raise KernelError("WRONG_KIND", f"'{decl.trigger}' is a source; controllers are triggered by contexts",
+                              component=decl.trigger)
         return BoundaryContract(name, output_type_of(spec, decl.trigger),
                                 Capability(_DO, decl.action, action.in_type), _NO_PUBLISH, None, _RETURNS_NOTHING)
     raise KernelError("WRONG_KIND", f"'{name}' is {_article(decl.kind)}; only contexts and controllers "

@@ -142,14 +142,14 @@ class Specification:
 
     def __post_init__(self):
         """Index, in one loop, how the declarations connect, for validate, the flow graph and the
-        runtime. ``_table``: each name's first declaration. ``_wiring``: the flow edges in order, as
-        parallel tuples of sources, targets and kinds, and the successor maps of the pull graph
-        (when-required context -> get target) and of the publish graph (when-provided context ->
-        trigger), where a name's first such declaration stands for it. Both sit in the instance
-        dict, out of equality, hashing and repr."""
+        runtime. ``_table``: each name's first declaration, and ``_sources`` each source's bit there.
+        ``_wiring``: the flow edges in order, as parallel tuples of sources, targets and kinds, and
+        the successor maps of the pull graph (when-required context -> get target) and of the
+        publish graph (when-provided context -> trigger), where a name's first such declaration
+        stands for it. All sit in the instance dict, out of equality, hashing and repr."""
         declarations = tuple(self.declarations)
         # No object per edge: 1,600 edge tuples, kept or only gathered, slowed large-spec setup in 9 of 9 pairs.
-        table, flat, pulls, publishes = {}, [], {}, {}  # flat: each edge's source, target and kind in turn
+        table, flat, pulls, publishes, sources = {}, [], {}, {}, {}  # flat: each edge's source, target, kind
         for d in declarations:
             table.setdefault(d.name, d)
             if isinstance(d, ContextDecl):
@@ -163,8 +163,11 @@ class Specification:
                     flat += target, d.name, "pull"
             elif isinstance(d, ControllerDecl):
                 flat += d.trigger, d.name, "publish", d.name, d.action, "command"
+            elif isinstance(d, SourceDecl) and table[d.name] is d:
+                sources[d.name] = 1 << len(sources)
         edges = tuple(flat[0::3]), tuple(flat[1::3]), tuple(flat[2::3])
-        self.__dict__.update(declarations=declarations, _table=table, _wiring=(edges, pulls, publishes))
+        self.__dict__.update(declarations=declarations, _table=table, _wiring=(edges, pulls, publishes),
+                             _sources=sources)
 
     def find(self, name: str) -> Declaration | None:
         return self._table.get(name)

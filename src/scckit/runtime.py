@@ -6,8 +6,8 @@ payload, resource capability (a get or do handle), then the publish /
 no-publish continuations. Publishing is a non-returning control transfer:
 a continuation raises ``_ActivationEscape``, unless ``seal`` has seen that the
 implementation returns right after every call of it (``_tail_params``); then
-it returns. Taints accumulate per activation and ride along on every
-outgoing value.
+it returns. Taints accumulate per activation as an ``int`` mask over the spec's sources
+(``Specification._sources``), ride along on every outgoing value, and leave as names (``_Names``).
 Each value is checked once, where untrusted code hands it in. ``validate``
 and ``derive_all`` prove that each activation payload type is what its
 trigger publishes and that each pull reaches a source or a when-required
@@ -39,7 +39,7 @@ from .decls import _ALWAYS, _MAYBE, _NO_PUBLISH, ActionDecl, SourceDecl, Specifi
 from .errors import KernelError, RuntimeFault
 from .values import PAYLOAD_CHECKS, TaintedValue, Value
 
-_NO_TAINTS: frozenset[str] = frozenset()
+_NAMES_BOUND = 1 << 14  # the names a decode cache holds at most, each mask counting one more
 _new = object.__new__
 
 
@@ -47,6 +47,20 @@ class _ActivationEscape(BaseException):
     """Internal control transfer raised by a continuation that its implementation
     might outlive, with the activation it leaves as its one argument. Never catch
     it: one raised again outside its activation is the raiser's own panic."""
+
+
+class _Names(dict):
+    """A runtime's decode of taint masks into frozensets of source names (``sources``, in bit
+    order); equal masks share one. A miss that would take it over ``_NAMES_BOUND`` empties it first."""
+
+    def __missing__(self, mask: int) -> frozenset[str]:
+        names = frozenset(s for s, bit in zip(self.sources, bin(mask)[:1:-1]) if bit == "1")
+        self.held += len(names) + 1
+        if self.held > _NAMES_BOUND:  # then it holds this mask alone, however wide
+            self.clear()
+            self.held = len(names) + 1
+        self[mask] = names
+        return names
 
 
 @dataclass
@@ -60,11 +74,11 @@ class TraceEvent:
 class _Plan:
     """One declaration as registered or bound, then sealed. Each has a type (``tag``),
     which a component publishes or returns (a controller none), and its check (``accepts``).
-    A source or action also has its provider or sink and its taint; a component has its
-    implementation, contract, result kind, capability ``target`` plan, ``shape`` code and,
-    if it publishes, whether its ``publish`` and ``nopublish`` return. Plans link to the
-    ``subscribers`` they wake but never back to their runtime, so a dropped runtime is
-    freed at once, without the cycle collector."""
+    A source or action also has its provider or sink, and its taint: a source its bit, an
+    action None. A component has its implementation, contract, result kind, capability
+    ``target`` plan, ``shape`` code and, if it publishes, whether its ``publish`` and
+    ``nopublish`` return. Plans link to the ``subscribers`` they wake but never back to
+    their runtime, so a dropped runtime is freed at once, without the cycle collector."""
 
     __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "contract", "result", "shape",
                  "target", "subscribers", "publish_returns", "nopublish_returns")
@@ -77,7 +91,7 @@ class _Plan:
         """Whether ``v`` is a ``Value`` of this source's or action's type."""
         return isinstance(v, Value) and v.tag is self.tag and self.accepts(v.payload)
 
-    def run(self, rt: Runtime, payload, taints: frozenset[str]):
+    def run(self, rt: Runtime, payload, taints: int):
         """The activator: run this context or controller once in ``rt``. A
         pull-activated context returns ``(payload, taints)``."""
         act = _new(_Activation)  # filled in place: no __init__ frame on the hot path
@@ -85,7 +99,7 @@ class _Plan:
         trace = rt.trace
         if trace is not None:
             param = self.contract.activation_param
-            value = None if param is None else TaintedValue(Value(param, payload), taints)
+            value = None if param is None else TaintedValue(Value(param, payload), rt._names[taints])
             rt._call_out("HOOK_FAULT", self.name, "trace hook", trace, TraceEvent("activate", self.name, value))
         stack, shape, impl = rt._stack, self.shape, self.impl
         stack.append(act)
@@ -173,7 +187,7 @@ class _Activation:
             self._refuse()
         target, v = plan.target, None
         if target.impl is not None:  # a pull-activated context
-            payload, taints = target.run(rt, None, _NO_TAINTS)
+            payload, taints = target.run(rt, None, 0)  # a pulled context starts untainted
         else:
             v = rt._call_out("PLATFORM_FAULT", target.name, "provider", target.resource.current)
             if v is None:
@@ -187,10 +201,8 @@ class _Activation:
         if trace is not None:
             v = Value(target.tag, payload) if v is None else v
             rt._call_out("HOOK_FAULT", plan.name, "trace hook", trace,
-                         TraceEvent("pull", plan.name, TaintedValue(v, taints), target=target.name))
-        mine = self.taints
-        if not taints <= mine:  # no copy when either side is empty or the pull adds nothing
-            self.taints = mine | taints if mine else taints
+                         TraceEvent("pull", plan.name, TaintedValue(v, rt._names[taints]), target=target.name))
+        self.taints |= taints
         return payload
 
     def do(self, payload):
@@ -204,7 +216,7 @@ class _Activation:
         v = Value(target.tag, payload)
         rt._call_out("PLATFORM_FAULT", target.name, "sink", target.resource, v)
         rt._log_names.append(target.name)
-        rt._log_values.append(TaintedValue(v, self.taints))
+        rt._log_values.append(TaintedValue(v, rt._names[self.taints]))
 
     def publish(self, payload):
         rt, plan = self.rt, self.plan
@@ -254,11 +266,13 @@ class Runtime:
         self.contracts = MappingProxyType(self._contracts)  # read-only: seal trusts what it holds
         self._plans: dict[str, _Plan] = {}  # every registered component and bound resource
         self._sources: dict[str, _Plan] = {}  # the bound sources
-        self._queue: deque[tuple[_Plan, object, frozenset[str]]] = deque()
+        self._queue: deque[tuple[_Plan, object, int]] = deque()
         self._stack: list[_Activation] = []
         self._fault: RuntimeFault | None = None  # the drain's first fault, which every handle raises again
         self._log_names: list[str] = []
         self._log_values: list[TaintedValue] = []
+        self._names = _Names()
+        self._names.sources, self._names.held = spec._sources, 0
         self._sealed = False
         self._failed = False
         self._emitting = False
@@ -313,7 +327,7 @@ class Runtime:
             raise KernelError("DUPLICATE_BINDING", f"'{name}' is already bound", component=name)
         plan = self._plans[name] = _Plan(name, None, obj)
         plan.tag = decl.out_type if decl_cls is SourceDecl else decl.in_type
-        plan.accepts, plan.taints = PAYLOAD_CHECKS[plan.tag], frozenset((name,))
+        plan.accepts, plan.taints = PAYLOAD_CHECKS[plan.tag], self.spec._sources.get(name)
         if decl_cls is SourceDecl:
             self._sources[name] = plan
 

@@ -4,6 +4,7 @@ import pytest
 
 import genspec
 from scckit import (
+    ActionDecl,
     CapabilityKind,
     ContextDecl,
     ControllerDecl,
@@ -16,6 +17,7 @@ from scckit import (
     derive_all,
     derive_contract,
     render_contract,
+    validate,
     webcam_spec,
     when_provided,
     when_required,
@@ -99,6 +101,18 @@ def test_controller_contract_names_a_do_target_that_is_no_action(action, expecte
         with pytest.raises(KernelError) as err:
             derive()
         assert (str(err.value), err.value.component) == (expected, action)
+
+
+def test_a_source_triggered_controller_gets_no_contract():
+    spec = Specification((SourceDecl("S", DataType.INT), ActionDecl("A", DataType.INT),
+                          ControllerDecl("K", "S", "A")))
+    assert [(d.code, d.message) for d in validate(spec)] == [
+        ("BAD_TRIGGER_KIND", "trigger 'S' is a source; controllers are triggered by contexts")]
+    for derive in (lambda: derive_contract(spec, "K"), lambda: derive_all(spec)):
+        with pytest.raises(KernelError) as err:
+            derive()
+        assert (str(err.value), err.value.component) == (
+            "WRONG_KIND [S]: 'S' is a source; controllers are triggered by contexts", "S")
 
 
 def test_bare_when_required_contract_renders_to_thunk_type():

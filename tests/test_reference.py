@@ -132,6 +132,19 @@ def test_kernel_agrees_with_the_reference_on_the_webcam_app(steps, pick, at, fau
            fault == "corrupt")
 
 
+_WIDE = 70  # genspec.ladder(70): 71 sources joined on one path, masks of three 30-bit digits
+
+
+@pytest.mark.parametrize("pick, at, corrupt", [(0, 10**9, False), (69, 1, False), (110, 2, False), (30, 2, True)])
+def test_kernel_agrees_with_the_reference_on_wide_taints(pick, at, corrupt):
+    """Each P<i> of the ladder pulls S<i> and publishes, so P<i>'s taints hold T and S0 .. S<i>."""
+    impls = {f"P{i}": lambda x, get, publish: publish(x + get()) for i in range(_WIDE)}
+    impls["C"] = lambda x, do: do(x)
+    sets = [lambda rt, i=i: rt.set_source(f"S{i}", Value(DataType.INT, i)) for i in range(_WIDE)]
+    emit = lambda rt: rt.emit("T", Value(DataType.INT, 1))  # noqa: E731
+    _agree(genspec.ladder(_WIDE), impls, sets + [emit, emit], pick, at, corrupt)
+
+
 def test_generated_apps_cover_every_contract_shape():
     shapes, keys = set(), set()
     for seed in range(60):

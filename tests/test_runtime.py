@@ -8,6 +8,7 @@ import gc
 import inspect
 import sys
 import textwrap
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -48,6 +49,7 @@ from scckit import (
     when_required,
 )
 from scckit.decls import MAX_PULL_DEPTH
+from scckit.flow import _ancestry
 from scckit.values import INT64_MAX, INT64_MIN
 
 INT, STRING = DataType.INT, DataType.STRING
@@ -1251,6 +1253,96 @@ def test_source_emissions_carry_their_own_taint():
     first = events[0]
     assert first.kind == "activate" and first.component == "P"
     assert first.value.taints == {"S"}
+
+
+def _ladder_impls(n, pulls=lambda i, x: True):
+    """``genspec.ladder(n)``'s implementations: P<i> passes its payload on, plus what it pulls from
+    S<i> where ``pulls(i, payload)``, and C sends what it gets to A."""
+    def step(i):
+        return lambda x, get, publish: publish(x + get() if pulls(i, x) else x)
+
+    return {**{f"P{i}": step(i) for i in range(n)}, "C": lambda x, do: do(x)}
+
+
+def _bound_backwards(spec, impls):
+    """A sealed runtime over ``spec`` with its resources bound in reverse declaration order."""
+    rt = create_runtime(spec)
+    for name, impl in impls.items():
+        rt.register(name, impl)
+    for d in reversed(spec.declarations):
+        if isinstance(d, SourceDecl):
+            rt.bind_source(d.name, ScriptedSource())
+        elif isinstance(d, ActionDecl):
+            rt.bind_action(d.name, RecordingSink())
+    rt.seal()
+    return rt
+
+
+def test_the_kernel_numbers_sources_as_the_flow_graph_does():
+    """Bit ``i`` of a runtime's taint masks is the ``i``-th source of ``flow._ancestry``, whatever
+    order the sources are bound in, so each delivery's mask lies inside its action's ancestor
+    mask: acceptance criterion 7 as one AND."""
+    webcam_impls = {"ProcessPicture": webcam.process_picture, "MakeAd": webcam.make_ad,
+                    "ComposeDisplay": webcam.compose_display, "Display": webcam.display}
+    runs = [(webcam_spec(), webcam_impls,
+             [("set", "IP", Value(STRING, "Ads Inc")), ("emit", "Camera", make_picture(4, 3, 1))]),
+            (genspec.ladder(40), _ladder_impls(40),
+             [("set", f"S{i}", int_value(i)) for i in range(40)] + [("emit", "T", int_value(1))] * 2)]
+    for seed in range(300):
+        impls = {}
+        app = genspec.random_app(seed, wrap=lambda kind, name, obj: impls.setdefault(name, obj))
+        steps = []
+        genspec.drive(dataclasses.replace(app, runtime=types.SimpleNamespace(
+            set_source=lambda name, v: steps.append(("set", name, v)),
+            emit=lambda name, v: steps.append(("emit", name, v)))), seed)
+        runs.append((app.spec, {name: impls[name] for name in app.runtime.contracts}, steps))
+    delivered = 0
+    for spec, impls, steps in runs:
+        masks, sources = _ancestry(build_flow_graph(spec))
+        rt = _bound_backwards(spec, impls)
+        assert list(rt._names.sources) == sources
+        assert [rt._plans[name].taints for name in sources] == [1 << i for i in range(len(sources))]
+        for how, name, v in steps:
+            (rt.set_source if how == "set" else rt.emit)(name, v)
+        for action, tv in rt.action_log():
+            mask = sum(1 << sources.index(name) for name in tv.taints)
+            assert mask & ~masks[action] == 0
+            delivered += 1
+    assert delivered > 1000
+
+
+def test_the_decode_cache_stays_bounded_and_every_delivery_keeps_its_names():
+    """On ``genspec.ladder(13)``, P<i> pulls S<i> when bit ``i`` of its payload is set, so the
+    emits of 0 .. 2**13 - 1 deliver 8,192 distinct masks. Each costs the cache its names plus
+    one: 69,632 in all, over four times its bound, so it is emptied several times."""
+    n, bound = 13, scckit.runtime._NAMES_BOUND
+    rt, sources, _ = wire(genspec.ladder(n), _ladder_impls(n, lambda i, x: x >> i & 1))
+    for name in sources:
+        rt.set_source(name, int_value(0))
+    held = []
+    rt.trace = lambda event: held.append(rt._names.held)  # each event's taints are decoded first
+    for x in range(2 ** n):
+        rt.emit("T", int_value(x))
+        held.append(rt._names.held)
+    assert 2 ** n * 2 + n * 2 ** (n - 1) > 4 * bound
+    assert max(held) <= bound and sum(a > b for a, b in zip(held, held[1:])) >= 4
+    assert rt._names.held == sum(len(names) + 1 for names in rt._names.values())
+    log = rt.action_log()
+    assert [tv.taints for _, tv in log] == [frozenset({"T"} | {f"S{i}" for i in range(n) if x >> i & 1})
+                                            for x in range(2 ** n)]
+    rt.trace = None
+    rt.emit("T", int_value(2 ** n - 1))  # a mask the cache still holds: its frozenset is shared
+    assert rt.action_log()[-1][1].taints is log[-1][1].taints
+
+
+def test_a_mask_wider_than_the_decode_bound_is_held_alone(monkeypatch):
+    monkeypatch.setattr(scckit.runtime, "_NAMES_BOUND", 3)
+    rt, sources, _ = wire(genspec.ladder(4), _ladder_impls(4))
+    for name in sources:
+        rt.set_source(name, int_value(0))
+    rt.emit("T", int_value(1))
+    assert rt.action_log()[0][1].taints == {"T", "S0", "S1", "S2", "S3"}
+    assert list(rt._names.values()) == [rt.action_log()[0][1].taints] and rt._names.held == 6
 
 
 FAULT_CODES = {"implementation": "IMPLEMENTATION_PANIC", "provider": "PLATFORM_FAULT",
