@@ -1,28 +1,28 @@
 """Reactive execution engine with capability injection and taint tracking.
 
-Implementations never see the engine: each one is called with exactly the
-arguments its boundary contract grants, in a fixed order — activation
-payload, resource capability (a get or do handle), then the publish /
-no-publish continuations. Publishing is a non-returning control transfer:
-a continuation raises ``_ActivationEscape``, unless ``seal`` has seen that the
-implementation returns right after every call of it (``_tail_params``); then
-it returns. Taints accumulate per activation as an ``int`` mask over the spec's sources
-(``Specification._sources``), ride along on every outgoing value, and leave as names (``_Names``).
-Each value is checked once, where untrusted code hands it in. ``validate``
-and ``derive_all`` prove that each activation payload type is what its
-trigger publishes and that each pull reaches a source or a when-required
-context; ``seal`` relies on that and does not check it again. It fixes each
-component's targets, type, entry check and shape code from its contract and
-links subscribers along the spec's index: ``_Plan.run`` calls implementations
-directly, by one of seven calls, so no activation reads a name, nor a contract
-but to trace it.
+Implementations never see the engine: each one is called with exactly the arguments its boundary
+contract grants, in a fixed order — activation payload, resource capability (a get or do handle),
+then the publish / no-publish continuations. Publishing is a non-returning control transfer: a
+continuation raises ``_ActivationEscape``, unless ``seal`` has seen that the implementation
+returns right after every call of it (``_tail_params``); then it returns. Taints accumulate per
+activation as an ``int`` mask over the spec's sources (``Specification._sources``), ride along on
+every outgoing value, and leave as names (``_Names``). Each value is checked once, where untrusted
+code hands it in. ``validate`` and ``derive_all`` prove that each activation payload type is what
+its trigger publishes and that each pull reaches a source or a when-required context; ``seal``
+relies on that and does not check it again. It fixes each component's targets, type, entry check
+and shape code from its contract and links subscribers along the spec's index: ``_Plan.run`` calls
+implementations directly, by one of seven calls, so no activation reads a name, nor a contract but
+to trace it.
 
-A single engine instance is single-threaded. Capability and continuation
-handles are the bound methods of one activation; calling one after it ends
-is a fault. A drain's first fault is kept (``_record``); every handle raises it.
-The action log holds each delivery's action name and ``TaintedValue`` in two lists
-side by side, and ``action_log()`` pairs them at each read, so a delivery keeps two
-objects the cycle collector tracks (its ``TaintedValue`` and ``Value``), not three.
+A single engine instance is single-threaded. Capability and continuation handles are the bound
+methods of one activation, and work only while it runs on top (``Runtime._top``, one slot;
+``_Plan.run`` keeps the activation below in a local). Blame is assigned in two places: ``_blame``
+for platform code that raises, and ``_record``, which keeps a drain's first fault for every handle
+to raise again. The kernel builds each delivery's ``Value`` and ``TaintedValue`` itself, past
+their constructors, which would only check its own hand-off. The action log holds each delivery's
+action name and ``TaintedValue`` in two lists side by side, and ``action_log()`` pairs them at
+each read, so a delivery keeps two objects the cycle collector tracks (its ``TaintedValue`` and
+``Value``), not three.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import functools
 import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from types import FunctionType, MappingProxyType
 
 from .contracts import _DO, _GET, _NO_RETURN, _RETURNS_VALUE, derive_all
@@ -40,7 +41,10 @@ from .errors import KernelError, RuntimeFault
 from .values import PAYLOAD_CHECKS, TaintedValue, Value
 
 _NAMES_BOUND = 1 << 14  # the names a decode cache holds at most, each mask counting one more
+_BITS = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits, as the selectors of compress
 _new = object.__new__
+_set_tag, _set_payload = Value.tag.__set__, Value.payload.__set__
+_set_value, _set_taints = TaintedValue.value.__set__, TaintedValue.taints.__set__
 
 
 class _ActivationEscape(BaseException):
@@ -54,7 +58,7 @@ class _Names(dict):
     order); equal masks share one. A miss that would take it over ``_NAMES_BOUND`` empties it first."""
 
     def __missing__(self, mask: int) -> frozenset[str]:
-        names = frozenset(s for s, bit in zip(self.sources, bin(mask)[:1:-1]) if bit == "1")
+        names = frozenset(compress(self.sources, bin(mask)[:1:-1].encode().translate(_BITS)))
         self.held += len(names) + 1
         if self.held > _NAMES_BOUND:  # then it holds this mask alone, however wide
             self.clear()
@@ -101,8 +105,8 @@ class _Plan:
             param = self.contract.activation_param
             value = None if param is None else TaintedValue(Value(param, payload), rt._names[taints])
             rt._call_out("HOOK_FAULT", self.name, "trace hook", trace, TraceEvent("activate", self.name, value))
-        stack, shape, impl = rt._stack, self.shape, self.impl
-        stack.append(act)
+        below, shape, impl = rt._top, self.shape, self.impl  # below: the puller, if pulled
+        rt._top = act
         try:  # the call of this contract's shape (see _SHAPES)
             if shape == 0:
                 returned = impl(act.get)
@@ -131,7 +135,7 @@ class _Plan:
             raise rt._record(RuntimeFault("IMPLEMENTATION_PANIC", f"implementation raised "
                                           f"{type(exc).__name__}: {exc}", self.name)) from exc
         finally:
-            stack.pop()
+            rt._top = below
 
         if rt._fault is not None:  # a fault the implementation swallowed
             raise rt._fault
@@ -168,11 +172,10 @@ class _Activation:
 
     def _refuse(self):
         """Raise why a handle may not take effect: a handle works only while its activation
-        runs on top and no fault is kept, and a continuation only once. Each handle tests
+        is ``rt._top`` and no fault is kept, and a continuation only once. Each handle tests
         that in line and calls this only when the test fails."""
         rt = self.rt
-        stack = rt._stack
-        if not stack or stack[-1] is not self:
+        if rt._top is not self:
             raise rt._record(RuntimeFault("STALE_HANDLE", "handle used outside the activation it "
                                           "was granted to", self.plan.name))
         if rt._fault is not None:
@@ -182,14 +185,17 @@ class _Activation:
 
     def get(self):
         rt, plan = self.rt, self.plan
-        stack = rt._stack
-        if not stack or stack[-1] is not self or rt._fault is not None:
+        if rt._top is not self or rt._fault is not None:
             self._refuse()
         target, v = plan.target, None
         if target.impl is not None:  # a pull-activated context
             payload, taints = target.run(rt, None, 0)  # a pulled context starts untainted
         else:
-            v = rt._call_out("PLATFORM_FAULT", target.name, "provider", target.resource.current)
+            current = target.resource.current  # outside the try, as in ``emit``
+            try:
+                v = current()
+            except Exception as exc:
+                raise rt._blame("PLATFORM_FAULT", target.name, "provider", exc) from exc
             if v is None:
                 raise rt._record(RuntimeFault("PULL_BEFORE_VALUE", f"source '{target.name}' pulled before "
                                               "any value was set", plan.name))
@@ -207,21 +213,27 @@ class _Activation:
 
     def do(self, payload):
         rt, target = self.rt, self.plan.target
-        stack = rt._stack
-        if not stack or stack[-1] is not self or rt._fault is not None:
+        if rt._top is not self or rt._fault is not None:
             self._refuse()
         if not target.accepts(payload):
             raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"value sent to '{target.name}' must be "
                                           f"{target.tag}, got {payload!r}", self.plan.name))
-        v = Value(target.tag, payload)
-        rt._call_out("PLATFORM_FAULT", target.name, "sink", target.resource, v)
+        v = _new(Value)  # the kernel's own hand-off: built without the constructors' frames
+        _set_tag(v, target.tag)
+        _set_payload(v, payload)
+        try:
+            target.resource(v)
+        except Exception as exc:
+            raise rt._blame("PLATFORM_FAULT", target.name, "sink", exc) from exc
         rt._log_names.append(target.name)
-        rt._log_values.append(TaintedValue(v, rt._names[self.taints]))
+        tv = _new(TaintedValue)
+        _set_value(tv, v)
+        _set_taints(tv, rt._names[self.taints])
+        rt._log_values.append(tv)
 
     def publish(self, payload):
         rt, plan = self.rt, self.plan
-        stack = rt._stack
-        if not stack or stack[-1] is not self or rt._fault is not None or self.fired:
+        if rt._top is not self or rt._fault is not None or self.fired:
             self._refuse()
         self.fired = True
         if not plan.accepts(payload):
@@ -236,8 +248,7 @@ class _Activation:
 
     def nopublish(self):
         rt = self.rt
-        stack = rt._stack
-        if not stack or stack[-1] is not self or rt._fault is not None or self.fired:
+        if rt._top is not self or rt._fault is not None or self.fired:
             self._refuse()
         self.fired = True
         if self.plan.nopublish_returns:
@@ -248,12 +259,10 @@ class _Activation:
 class Runtime:
     """Sealed-registry event engine for one validated specification.
 
-    Lifecycle: register implementations and bind platform resources, seal,
-    then emit source values. Each emission drains the activation queue to
-    quiescence before returning. Anything that escapes a drain drops the
-    queue and poisons the engine: it stays inspectable but accepts no
-    further emits. Blame is assigned in two places only: ``_call_out`` and
-    ``_record``.
+    Lifecycle: register implementations and bind platform resources, seal, then emit source
+    values. Each emission drains the activation queue to quiescence before returning. Anything
+    that escapes a drain drops the queue and poisons the engine: it stays inspectable but accepts
+    no further emits. Blame is assigned in two places only: ``_blame`` and ``_record``.
     """
 
     def __init__(self, spec: Specification):
@@ -267,7 +276,7 @@ class Runtime:
         self._plans: dict[str, _Plan] = {}  # every registered component and bound resource
         self._sources: dict[str, _Plan] = {}  # the bound sources
         self._queue: deque[tuple[_Plan, object, int]] = deque()
-        self._stack: list[_Activation] = []
+        self._top: _Activation | None = None  # the running activation
         self._fault: RuntimeFault | None = None  # the drain's first fault, which every handle raises again
         self._log_names: list[str] = []
         self._log_values: list[TaintedValue] = []
@@ -402,7 +411,11 @@ class Runtime:
             self._checked_source(name, v)
         self._emitting = True
         try:
-            self._call_out("PLATFORM_FAULT", name, "provider", source.resource.set, v)
+            set_ = source.resource.set  # outside the try: only what ``set`` raises is the provider's fault
+            try:
+                set_(v)
+            except Exception as exc:
+                raise self._blame("PLATFORM_FAULT", name, "provider", exc) from exc
             queue, payload, taints = self._queue, v.payload, source.taints
             for subscriber in source.subscribers:
                 queue.append((subscriber, payload, taints))
@@ -434,7 +447,7 @@ class Runtime:
         """Keep ``fault`` as the drain's fault unless one is kept or no activation runs, and
         return it. Every handle raises the kept fault again, so no activation starts after it:
         each running one fails with it, even if its code caught it, and the drain ends poisoned."""
-        if self._stack and self._fault is None:
+        if self._top is not None and self._fault is None:
             self._fault = fault
         return fault
 
@@ -444,8 +457,11 @@ class Runtime:
         try:
             return fn(*args)
         except Exception as exc:
-            raise self._record(RuntimeFault(code, f"{party} raised {type(exc).__name__}: {exc}",
-                                            component)) from exc
+            raise self._blame(code, component, party, exc) from exc
+
+    def _blame(self, code: str, component: str, party: str, exc: Exception) -> RuntimeFault:
+        """The ``code`` fault, blamed on ``component``, of platform code (``party``) that raised ``exc``."""
+        return self._record(RuntimeFault(code, f"{party} raised {type(exc).__name__}: {exc}", component))
 
 
 _JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
@@ -497,6 +513,4 @@ def create_runtime(spec: Specification) -> Runtime:
 
 
 def _describe(v) -> str:
-    if isinstance(v, Value):
-        return f"{v.tag} {v.payload!r}"
-    return repr(v)
+    return f"{v.tag} {v.payload!r}" if isinstance(v, Value) else repr(v)

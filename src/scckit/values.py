@@ -56,14 +56,14 @@ def overlay(pic: PictureData, text: str) -> PictureData:
     return PictureData(pic.width, pic.height, pic.seed, pic.overlays + (text,))
 
 
-#: The payload check of each type; the runtime looks each up once, at bind or seal.
+#: Each type's payload check, looked up once at bind or seal; ``cls.__instancecheck__`` is isinstance in C.
 PAYLOAD_CHECKS = {
-    DataType.BOOL: lambda p: isinstance(p, bool),
+    DataType.BOOL: bool.__instancecheck__,
     # An exact int, the payload of nearly every INT value, costs one type test; subclasses fall through.
     DataType.INT: lambda p: ((type(p) is int or isinstance(p, int) and not isinstance(p, bool))
                              and INT64_MIN <= p <= INT64_MAX),
-    DataType.STRING: lambda p: isinstance(p, str),
-    DataType.PICTURE: lambda p: isinstance(p, PictureData),
+    DataType.STRING: str.__instancecheck__,
+    DataType.PICTURE: PictureData.__instancecheck__,
 }
 
 

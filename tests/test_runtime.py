@@ -6,6 +6,8 @@ import enum
 import functools
 import gc
 import inspect
+import pickle
+import random
 import sys
 import textwrap
 import types
@@ -1335,6 +1337,16 @@ def test_the_decode_cache_stays_bounded_and_every_delivery_keeps_its_names():
     assert rt.action_log()[-1][1].taints is log[-1][1].taints
 
 
+def test_the_decode_names_exactly_the_set_bits_of_a_mask():
+    names = scckit.runtime._Names()
+    names.sources, names.held = {f"S{i}": 1 << i for i in range(300)}, 0
+    rng = random.Random(0)
+    for width in (0, 1, 2, 7, 8, 9, 64, 299, 300):
+        for mask in {0, (1 << width) - 1, *(rng.getrandbits(width) for _ in range(20))}:
+            want = frozenset(f"S{i}" for i in range(width) if mask >> i & 1)
+            assert names[mask] == want and type(names[mask]) is frozenset
+
+
 def test_a_mask_wider_than_the_decode_bound_is_held_alone(monkeypatch):
     monkeypatch.setattr(scckit.runtime, "_NAMES_BOUND", 3)
     rt, sources, _ = wire(genspec.ladder(4), _ladder_impls(4))
@@ -1500,3 +1512,148 @@ def test_hook_attached_after_seal_sees_what_a_hook_given_at_build_sees():
     display = [ev for ev in at_build if ev.component == "Display"]
     assert display[0].value.value == Value(DataType.PICTURE, PictureData(8, 6, 2, ("Ads",)))
     assert display[0].value.taints == {"Camera", "IP"}
+
+
+def test_kernel_built_deliveries_equal_constructor_built_ones():
+    """``do`` builds each delivery's ``Value`` and ``TaintedValue`` past their constructors. Each
+    must compare, hash, print and pickle as the constructors' would, with exact frozenset taints;
+    the pinned field names make a new field fail here instead of being left unset."""
+    assert [f.name for f in dataclasses.fields(Value)] == ["tag", "payload"]
+    assert [f.name for f in dataclasses.fields(TaintedValue)] == ["value", "taints"]
+    webcam_app = build_webcam_app()
+    run_scenario(webcam_app.runtime, parse_scenario(TRACE_SCRIPT * 3))
+    logs = [(webcam_app.runtime.action_log(), webcam_app.screen.deliveries)]
+    for seed in range(200):
+        app = genspec.random_app(seed)
+        genspec.drive(app, seed)
+        logs.append((app.runtime.action_log(), [v for sink in app.sinks.values() for v in sink.deliveries]))
+    delivered = 0
+    for log, sunk in logs:
+        assert sorted(map(id, sunk)) == sorted(id(tv.value) for _, tv in log)  # what each sink was handed
+        for _, tv in log:
+            built = TaintedValue(Value(tv.value.tag, tv.value.payload), tv.taints)
+            assert type(tv) is TaintedValue and type(tv.value) is Value and type(tv.taints) is frozenset
+            assert tv == built and tv.value == built.value and hash(tv) == hash(built) and repr(tv) == repr(built)
+            back = pickle.loads(pickle.dumps(tv))
+            # A set's repr follows its table, which a pickle rebuilds: compare the taints by value.
+            assert back == tv and repr(back.value) == repr(tv.value) and type(back.taints) is frozenset
+            delivered += 1
+    assert delivered > 1000
+
+
+# P pulls R1, which pulls R2, which pulls R3, which pulls S: three pulled activations above P.
+# Q is still queued while P runs, and D while C delivers.
+TOPPLE = Specification((
+    SourceDecl("S", INT),
+    ActionDecl("A", INT),
+    ContextDecl("R1", INT, when_required("R2")),
+    ContextDecl("R2", INT, when_required("R3")),
+    ContextDecl("R3", INT, when_required("S")),
+    ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="R1")),
+    ContextDecl("Q", INT, when_provided("S", PublishSpec.ALWAYS)),
+    ControllerDecl("C", "P", "A"),
+    ControllerDecl("D", "P", "A"),
+))
+
+
+def _topple_app(impls=(), provider=None, sink=None, hook=None):
+    """``TOPPLE`` sealed with R1 and P each pulling twice, the given overrides and a recording
+    sink unless one is given; also the handles P and R1 were granted, kept, and whether each ran
+    on top after its pulls."""
+    kept, on_top = [], []
+
+    def r1(get):
+        kept.append(get)
+        x = get() + get()
+        on_top.append(rt._top is get.__self__)
+        return x
+
+    def p(v, get, publish):
+        kept.append(get)
+        x = get() + get()
+        on_top.append(rt._top is get.__self__)
+        publish(x)
+
+    rt = create_runtime(TOPPLE)
+    for name, impl in {"R1": r1, "R2": lambda get: get() + 1, "R3": lambda get: get() + 1, "P": p,
+                       "Q": lambda v, publish: publish(v), "C": lambda v, do: do(v), "D": lambda v, do: do(v),
+                       **dict(impls)}.items():
+        rt.register(name, impl)
+    rt.bind_source("S", provider or ScriptedSource())
+    rt.bind_action("A", sink or RecordingSink())
+    rt.seal()
+    rt.trace = hook
+    return rt, kept, on_top
+
+
+def test_a_pullers_get_handle_works_again_after_its_pulled_context_returns():
+    rt, kept, on_top = _topple_app()
+    rt.emit("S", int_value(1))  # R3 2, R2 3, R1 3 + 3, P 6 + 6
+    assert rt.action_log() == (("A", TaintedValue(int_value(12), {"S"})),) * 2
+    assert len(kept) == 3 and on_top == [True] * 3  # P's handle, then R1's, once per pull of P
+    assert rt._top is None and not rt._queue and not rt.failed
+    with pytest.raises(RuntimeFault) as err:
+        kept[0]()
+    assert (err.value.code, err.value.component) == ("STALE_HANDLE", "P")
+    assert rt._top is None and not rt.failed
+    rt.emit("S", int_value(2))
+    assert [tv.value for _, tv in rt.action_log()[2:]] == [int_value(16)] * 2
+
+
+class _DeadProvider(ScriptedSource):
+    def current(self):
+        raise OSError("camera gone")
+
+
+class _DeafProvider(ScriptedSource):
+    def set(self, v):
+        raise OSError("camera deaf")
+
+
+def _dead_sink(v):
+    raise OSError("screen gone")
+
+
+def _hook_down(event):
+    if event.kind == "pull" and event.component == "R3":
+        raise OSError("hook down")
+
+
+def _swallow(get):
+    try:
+        return get()
+    except RuntimeFault:
+        return 0
+
+
+TOPPLINGS = {  # what makes the drain fail, and the fault it fails with
+    "implementation": ({"impls": {"R3": lambda get: get() // 0}}, "IMPLEMENTATION_PANIC [R3]: implementation "
+                       "raised ZeroDivisionError: integer division or modulo by zero", ZeroDivisionError),
+    "provider": ({"provider": _DeadProvider()}, "PLATFORM_FAULT [S]: provider raised OSError: camera gone", OSError),
+    "provider set": ({"provider": _DeafProvider()}, "PLATFORM_FAULT [S]: provider raised OSError: camera deaf",
+                     OSError),
+    "sink": ({"sink": _dead_sink}, "PLATFORM_FAULT [A]: sink raised OSError: screen gone", OSError),
+    "hook": ({"hook": _hook_down}, "HOOK_FAULT [R3]: trace hook raised OSError: hook down", OSError),
+    "swallowed": ({"impls": {"R3": lambda get: "x", "R2": _swallow}},
+                  "CONTRACT_VIOLATION [R3]: returned value must be Int, got 'x'", None),
+}
+
+
+@pytest.mark.parametrize("kind", TOPPLINGS)
+def test_no_activation_is_left_on_top_after_a_fault(kind):
+    """Whichever party raises, three pulls deep, in a sink or before any activation, the drain ends
+    with no activation on top, its queue empty and the runtime failed; every handle of the drain
+    is stale after it."""
+    overrides, message, cause = TOPPLINGS[kind]
+    rt, kept, _ = _topple_app(**overrides)
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(1))
+    assert str(err.value) == message
+    assert (type(err.value.__cause__) if cause else err.value.__cause__) is cause
+    assert rt._top is None and not rt._queue and rt.failed and rt.action_log() == ()
+    fault = rt._fault
+    for handle in kept:
+        with pytest.raises(RuntimeFault) as stale:
+            handle()
+        assert stale.value.code == "STALE_HANDLE"
+    assert rt._top is None and rt._fault is fault
