@@ -12,19 +12,21 @@ from __future__ import annotations
 from enum import Enum
 
 from .decls import (
-    ActionDecl,
     ContextDecl,
     ControllerDecl,
     DataType,
     PublishSpec,
     Specification,
+    _COMPONENT,
+    _CONTEXT_TRIGGER,
+    _CONTROLLER_TRIGGER,
+    _DO_TARGET,
+    _GET_TARGET,
     _MAYBE,
     _NO_PUBLISH,
-    _article,
     _record,
-    output_type_of,
+    _resolve,
 )
-from .errors import KernelError
 
 
 class CapabilityKind(Enum):
@@ -71,34 +73,23 @@ _NO_RETURN = ResultKind.NO_RETURN
 
 
 def derive_contract(spec: Specification, name: str) -> BoundaryContract:
-    """Contract for a declared context or controller of a validated spec."""
-    decl = spec.find(name)
-    if decl is None:
-        raise KernelError("NOT_FOUND", f"'{name}' is not declared", component=name)
+    """Contract for a declared context or controller; its names resolve by ``validate``'s rule, in its order."""
+    table = spec._table
+    decl = _resolve(name, _COMPONENT, table)
     if isinstance(decl, ContextDecl):
         c = decl.contract
-        activation = None if c.trigger is None else output_type_of(spec, c.trigger)
+        activation = None if c.trigger is None else _resolve(c.trigger, _CONTEXT_TRIGGER, table).out_type
         capability = None
         if c.get_target is not None:
-            capability = Capability(_GET, c.get_target, output_type_of(spec, c.get_target))
+            capability = Capability(_GET, c.get_target, _resolve(c.get_target, _GET_TARGET, table).out_type)
         if c.publish is _NO_PUBLISH:
             return BoundaryContract(name, activation, capability, _NO_PUBLISH, None, _RETURNS_VALUE,
                                     decl.out_type)
         return BoundaryContract(name, activation, capability, c.publish, decl.out_type, _NO_RETURN)
-    if isinstance(decl, ControllerDecl):
-        action = spec.find(decl.action)
-        if action is None:
-            raise KernelError("NOT_FOUND", f"'{decl.action}' is not declared", component=decl.action)
-        if not isinstance(action, ActionDecl):
-            raise KernelError("WRONG_KIND", f"'{decl.action}' is {_article(action.kind)} and has no input type",
-                              component=decl.action)
-        if decl.trigger in spec._sources:
-            raise KernelError("WRONG_KIND", f"'{decl.trigger}' is a source; controllers are triggered by contexts",
-                              component=decl.trigger)
-        return BoundaryContract(name, output_type_of(spec, decl.trigger),
-                                Capability(_DO, decl.action, action.in_type), _NO_PUBLISH, None, _RETURNS_NOTHING)
-    raise KernelError("WRONG_KIND", f"'{name}' is {_article(decl.kind)}; only contexts and controllers "
-                                    "carry boundary contracts", component=name)
+    trigger = _resolve(decl.trigger, _CONTROLLER_TRIGGER, table)  # a controller
+    action = _resolve(decl.action, _DO_TARGET, table)
+    return BoundaryContract(name, trigger.out_type,
+                            Capability(_DO, decl.action, action.in_type), _NO_PUBLISH, None, _RETURNS_NOTHING)
 
 
 def derive_all(spec: Specification) -> dict[str, BoundaryContract]:

@@ -182,24 +182,24 @@ class Diagnostic:
 
 def output_type_of(spec: Specification, name: str) -> DataType:
     """Declared output type of a source or context."""
-    decl = spec.find(name)
-    if decl is None:
-        raise KernelError("NOT_FOUND", f"'{name}' is not declared", component=name)
-    if isinstance(decl, (SourceDecl, ContextDecl)):
-        return decl.out_type
-    raise KernelError("WRONG_KIND", f"'{name}' is {_article(decl.kind)} and has no output type", component=name)
+    return _resolve(name, _CONTEXT_TRIGGER, spec._table).out_type
 
 
 def _article(kind: str) -> str:
     return ("an " if kind[0] in "aeiou" else "a ") + kind
 
 
-# The four references a declaration makes, one row each: the label a missing name gets, the label
-# a name of the wrong kind gets, the kinds it may name, and what a wrong kind is told to expect.
-_CONTEXT_TRIGGER = ("trigger", "trigger", (SourceDecl, ContextDecl), "expected a source or context")
-_GET_TARGET = ("get target", "get target", (SourceDecl, ContextDecl), "expected a source or when-required context")
-_CONTROLLER_TRIGGER = ("trigger", "trigger", ContextDecl, "controllers are triggered by contexts")
-_DO_TARGET = ("action", "do target", ActionDecl, "expected an action")
+# One row per rule a name is resolved under: the kinds it may name and what a contract says of a wrong
+# kind; then, for validate's four (a trigger, get target or do target), the label a missing name gets,
+# the label a wrong kind gets and what it is told to expect. The fifth is derive_contract's own name.
+_CONTEXT_TRIGGER = ((SourceDecl, ContextDecl), " and has no output type", "trigger", "trigger",
+                    "expected a source or context")
+_GET_TARGET = ((SourceDecl, ContextDecl), " and has no output type", "get target", "get target",
+               "expected a source or when-required context")
+_CONTROLLER_TRIGGER = (ContextDecl, "; controllers are triggered by contexts", "trigger", "trigger",
+                       "controllers are triggered by contexts")
+_DO_TARGET = (ActionDecl, " and has no input type", "action", "do target", "expected an action")
+_COMPONENT = ((ContextDecl, ControllerDecl), "; only contexts and controllers carry boundary contracts")
 
 
 def validate(spec: Specification) -> list[Diagnostic]:
@@ -213,6 +213,14 @@ def validate(spec: Specification) -> list[Diagnostic]:
     pulls, depths = _chains(pull_successors)
     publishes, _ = _chains(publish_successors)
     diags: list[Diagnostic] = []
+
+    def refuse(name, row, found):  # validate's refusal of a reference of declaration i, the one being checked
+        _, _, missing, wrong, expected = row
+        if found is None:
+            diags.append(Diagnostic(i, "UNRESOLVED_REF", f"{missing} '{name}' is not declared"))
+        else:
+            diags.append(Diagnostic(i, "BAD_TRIGGER_KIND", f"{wrong} '{name}' is {_article(found.kind)}; {expected}"))
+
     seen: set[str] = set()
     for i, decl in enumerate(spec.declarations):
         if not NAME_RE.fullmatch(decl.name):
@@ -221,8 +229,8 @@ def validate(spec: Specification) -> list[Diagnostic]:
             diags.append(Diagnostic(i, "DUP_NAME", f"'{decl.name}' is already declared"))
         seen.add(decl.name)
         if isinstance(decl, ControllerDecl):
-            _resolve(i, decl.trigger, _CONTROLLER_TRIGGER, table, diags)
-            _resolve(i, decl.action, _DO_TARGET, table, diags)
+            _resolve(decl.trigger, _CONTROLLER_TRIGGER, table, refuse)
+            _resolve(decl.action, _DO_TARGET, table, refuse)
         if not isinstance(decl, ContextDecl):
             continue
         c = decl.contract
@@ -233,9 +241,9 @@ def validate(spec: Specification) -> list[Diagnostic]:
             diags.append(Diagnostic(i, "BAD_PUBLISH_SPEC",
                                     "when-provided contexts must declare always_publish or maybe_publish"))
         if c.trigger is not None:
-            _resolve(i, c.trigger, _CONTEXT_TRIGGER, table, diags)
+            _resolve(c.trigger, _CONTEXT_TRIGGER, table, refuse)
         if c.get_target is not None:
-            pulled = _resolve(i, c.get_target, _GET_TARGET, table, diags)
+            pulled = _resolve(c.get_target, _GET_TARGET, table, refuse)
             if isinstance(pulled, ContextDecl) and pulled.contract.trigger is not None:
                 diags.append(Diagnostic(i, "PULL_NOT_REQUIRED",
                                         f"get target '{c.get_target}' is not a when-required context"))
@@ -251,19 +259,20 @@ def validate(spec: Specification) -> list[Diagnostic]:
     return diags
 
 
-def _resolve(i: int, name: str, row: tuple, table: dict[str, Declaration],
-             diags: list[Diagnostic]) -> Declaration | None:
-    """The declaration that reference ``name`` of declaration ``i`` names under ``row``, one of the four
-    above; None, after appending the one diagnostic it gets, when it is missing or of the wrong kind."""
-    missing, wrong, kinds, expected = row
-    found = table.get(name)
+def _refused(name: str, row: tuple, found: Declaration | None):
+    """The contract side's refusal of a reference ``name`` that does not resolve under ``row``."""
     if found is None:
-        diags.append(Diagnostic(i, "UNRESOLVED_REF", f"{missing} '{name}' is not declared"))
-    elif not isinstance(found, kinds):
-        diags.append(Diagnostic(i, "BAD_TRIGGER_KIND", f"{wrong} '{name}' is {_article(found.kind)}; {expected}"))
-    else:
+        raise KernelError("NOT_FOUND", f"'{name}' is not declared", component=name)
+    raise KernelError("WRONG_KIND", f"'{name}' is {_article(found.kind)}{row[1]}", component=name)
+
+
+def _resolve(name: str, row: tuple, table: dict[str, Declaration], refuse=_refused) -> Declaration | None:
+    """The declaration ``name`` names under ``row``: the one lookup and kind test. When it is missing or of
+    a kind the row does not allow, what ``refuse(name, row, found)`` gives (``found`` None or the wrong kind)."""
+    found = table.get(name)
+    if isinstance(found, row[0]):
         return found
-    return None
+    return refuse(name, row, found)
 
 
 def _chains(successor: dict[str, str | None]) -> tuple[set[str], dict[str, int]]:

@@ -53,7 +53,7 @@ def _ancestry(graph: FlowGraph) -> tuple[dict[str, int], list[str]]:
     vertex, and is dropped at the end."""
     masks, sources = {}, []
     for n in graph.nodes:
-        if n.kind == "source":
+        if n.kind == "source" and n.name not in masks:  # a name's first node only, as the spec index numbers sources
             masks[n.name] = 1 << len(sources)
             sources.append(n.name)
         else:

@@ -330,8 +330,14 @@ class Runtime:
     def _bind(self, name, obj, decl_cls):
         self._ensure_unsealed()
         decl = self._decl(name, decl_cls)
-        if obj is None:
-            raise KernelError("MISSING_BINDING", f"'{name}' cannot be bound to None")
+        if decl_cls is SourceDecl:  # the provider duck type: a callable current and set
+            lacks = " and ".join(f"'{m}'" for m in ("current", "set") if not callable(getattr(obj, m, None)))
+            lacks = lacks and f"without a callable {lacks}"
+        else:
+            lacks = "" if callable(obj) else "that is not callable"
+        if lacks:
+            raise KernelError("MISSING_BINDING",
+                              f"'{name}' cannot be bound to {'None' if obj is None else 'an object ' + lacks}")
         if name in self._plans:
             raise KernelError("DUPLICATE_BINDING", f"'{name}' is already bound", component=name)
         plan = self._plans[name] = _Plan(name, None, obj)

@@ -1,4 +1,5 @@
-"""The README's table of stable codes names exactly the codes the kernel raises."""
+"""The README's table of stable codes names exactly the codes the kernel raises, and each of the
+kernel's checks raises a code: none is an ``assert``, which ``python -O`` removes."""
 
 import ast
 import re
@@ -47,3 +48,9 @@ def test_readme_table_lists_each_raised_code_once(repo_root):
     assert len(table) == len(set(table))
     assert set(table) == raised
     assert {"PARSE_ERROR", "UNKNOWN_TYPE", "MISSING_IMPLEMENTATION", "REENTRANT_EMIT"} <= raised
+
+
+def test_the_kernel_makes_no_assert(repo_root):
+    asserts = [f"{path.name}:{node.lineno}" for path in sorted((repo_root / "src" / "scckit").glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))) if isinstance(node, ast.Assert)]
+    assert asserts == []

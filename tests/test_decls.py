@@ -32,6 +32,7 @@ from scckit import (
     when_required,
 )
 from scckit.decls import MAX_PULL_DEPTH
+from scckit.flow import _ancestry
 
 PICTURE, STRING, INT = DataType.PICTURE, DataType.STRING, DataType.INT
 
@@ -459,6 +460,16 @@ def test_flow_edges_match_a_per_declaration_oracle(spec, validated_first):
     graph = build_flow_graph(spec)
     assert [(e.src, e.dst, e.kind) for e in graph.edges] == [e for d in spec.declarations for e in _edges_of(d)]
     assert [(n.name, n.kind) for n in graph.nodes] == [(d.name, d.kind) for d in spec.declarations]
+
+
+@settings(max_examples=300)
+@given(cycle_specs())
+@example(Specification((SourceDecl("S", INT), SourceDecl("S", INT))))
+@example(Specification((ContextDecl("X", INT, when_required()), SourceDecl("X", INT))))
+def test_the_flow_graph_numbers_sources_as_the_spec_index_does(spec):
+    """A repeated name is numbered once, where its first declaration is a source, in the flow
+    graph's ancestor masks as in the spec index, so a taint mask and an ancestor mask agree."""
+    assert _ancestry(build_flow_graph(spec))[1] == list(spec._sources)
 
 
 def _naive_pull_depth(spec, name):

@@ -870,6 +870,35 @@ def test_binding_none_is_rejected():
     rt.bind_source("S", ScriptedSource())  # the refused binding left the name free
 
 
+class _NoCurrent:
+    def set(self, v):
+        pass
+
+
+class _Misnamed:
+    current = None  # not callable, so no provider's current
+
+    def set_value(self, v):
+        pass
+
+
+@pytest.mark.parametrize("name, obj, expected", [
+    ("S", _NoCurrent(), "'S' cannot be bound to an object without a callable 'current'"),
+    ("S", _Misnamed(), "'S' cannot be bound to an object without a callable 'current' and 'set'"),
+    ("S", types.SimpleNamespace(current=lambda: None), "'S' cannot be bound to an object without a callable 'set'"),
+    ("A", ScriptedSource(), "'A' cannot be bound to an object that is not callable"),
+])
+def test_binding_an_object_without_the_duck_type_is_rejected(name, obj, expected):
+    """A provider needs a callable ``current`` and ``set``, and a sink must be callable: the
+    binding is refused at once, not blamed later on a puller or on no party."""
+    rt = create_runtime(CHAIN)
+    with pytest.raises(KernelError) as err:
+        (rt.bind_source if name == "S" else rt.bind_action)(name, obj)
+    assert str(err.value) == f"MISSING_BINDING: {expected}"
+    rt.bind_source("S", ScriptedSource())  # the refused binding left the name free
+    rt.bind_action("A", RecordingSink())
+
+
 def test_registering_none_is_rejected():
     rt = create_runtime(CHAIN)
     with pytest.raises(KernelError) as err:
