@@ -18,10 +18,10 @@ from .errors import KernelError
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 # Most when-required contexts one get chain may activate, nested one inside the
-# next. Each level costs the interpreter 3 frames untraced (the get handle, the
-# plan's run and the implementation it calls), so the bound keeps every pull
-# far below the default recursion limit of 1,000, with room for tracing
-# wrappers around each level.
+# next. Each level costs the interpreter 2 frames untraced (the get handle and
+# the implementation it calls), so the bound keeps every pull far below the
+# default recursion limit of 1,000, with room for tracing wrappers around each
+# level.
 MAX_PULL_DEPTH = 100
 
 

@@ -10,13 +10,13 @@ every outgoing value, and leave as names (``_Names``). Each value is checked onc
 code hands it in. ``validate`` and ``derive_all`` prove that each activation payload type is what
 its trigger publishes and that each pull reaches a source or a when-required context; ``seal``
 relies on that and does not check it again. It fixes each component's targets, type, entry check
-and shape code from its contract and links subscribers along the spec's index: ``_Plan.run`` calls
-implementations directly, by one of seven calls, so no activation reads a name, nor a contract but
-to trace it.
+and shape code from its contract and links subscribers along the spec's index. The drain in ``emit``
+starts a queued component and a get handle a pulled context, each calling the implementation by
+one of seven calls, so no activation reads a name, nor a contract but to trace it.
 
 A single engine instance is single-threaded. Capability and continuation handles are the bound
-methods of one activation, and work only while it runs on top (``Runtime._top``, one slot;
-``_Plan.run`` keeps the activation below in a local). Blame is assigned in two places: ``_blame``
+methods of one activation, and work only while it runs on top (``Runtime._top``, one slot; a pulled
+context's puller is the ``self`` of the get handle). Blame is assigned in two places: ``_blame``
 for platform code that raises, and ``_record``, which keeps a drain's first fault for every handle
 to raise again. The kernel builds each delivery's ``Value`` and ``TaintedValue`` itself, past
 their constructors, which would only check its own hand-off. The action log holds each delivery's
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from itertools import compress
 from types import FunctionType, MappingProxyType
 
-from .contracts import _DO, _GET, _NO_RETURN, _RETURNS_VALUE, derive_all
+from .contracts import _DO, _GET, _NO_RETURN, derive_all
 from .decls import _ALWAYS, _MAYBE, _NO_PUBLISH, ActionDecl, SourceDecl, Specification, _article, validate
 from .errors import KernelError, RuntimeFault
 from .values import PAYLOAD_CHECKS, TaintedValue, Value
@@ -76,13 +76,13 @@ class TraceEvent:
 
 
 class _Plan:
-    """One declaration as registered or bound, then sealed. Each has a type (``tag``),
-    which a component publishes or returns (a controller none), and its check (``accepts``).
-    A source or action also has its provider or sink, and its taint: a source its bit, an
-    action None. A component has its implementation, contract, result kind, capability
-    ``target`` plan, ``shape`` code and, if it publishes, whether its ``publish`` and
-    ``nopublish`` return. Plans link to the ``subscribers`` they wake but never back to
-    their runtime, so a dropped runtime is freed at once, without the cycle collector."""
+    """One declaration as registered or bound, then sealed. Each has a type (``tag``), which a
+    component publishes or returns (a controller none), and its check (``accepts``). A source or
+    action also has its provider or sink, and its taint: a source its bit, an action None. A
+    component has its implementation, contract, result kind, capability ``target`` plan, ``shape``
+    code (how its activations start: see _SHAPES) and, if it publishes, whether its ``publish``
+    and ``nopublish`` return. Plans link to the ``subscribers`` they wake but never back to their
+    runtime, so a dropped runtime is freed at once, without the cycle collector."""
 
     __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "contract", "result", "shape",
                  "target", "subscribers", "publish_returns", "nopublish_returns")
@@ -95,69 +95,11 @@ class _Plan:
         """Whether ``v`` is a ``Value`` of this source's or action's type."""
         return isinstance(v, Value) and v.tag is self.tag and self.accepts(v.payload)
 
-    def run(self, rt: Runtime, payload, taints: int):
-        """The activator: run this context or controller once in ``rt``. A
-        pull-activated context returns ``(payload, taints)``."""
-        act = _new(_Activation)  # filled in place: no __init__ frame on the hot path
-        act.rt, act.plan, act.taints, act.fired = rt, self, taints, False
-        trace = rt.trace
-        if trace is not None:
-            param = self.contract.activation_param
-            value = None if param is None else TaintedValue(Value(param, payload), rt._names[taints])
-            rt._call_out("HOOK_FAULT", self.name, "trace hook", trace, TraceEvent("activate", self.name, value))
-        below, shape, impl = rt._top, self.shape, self.impl  # below: the puller, if pulled
-        rt._top = act
-        try:  # the call of this contract's shape (see _SHAPES)
-            if shape == 0:
-                returned = impl(act.get)
-            elif shape == 1:
-                returned = impl(payload, act.publish)
-            elif shape == 2:
-                returned = impl(payload, act.do)
-            elif shape == 3:
-                returned = impl(payload, act.get, act.publish, act.nopublish)
-            elif shape == 4:
-                returned = impl(payload, act.get, act.publish)
-            elif shape == 5:
-                returned = impl(payload, act.publish, act.nopublish)
-            else:
-                returned = impl()
-        except _ActivationEscape as esc:
-            if not esc.args or esc.args[0] is not act:  # another activation's escape, raised again
-                if rt._fault is not None:
-                    raise rt._fault
-                raise rt._record(RuntimeFault("IMPLEMENTATION_PANIC", "implementation raised the escape "
-                                              "of another activation's continuation", self.name)) from None
-            returned = None
-        except Exception as exc:
-            if rt._fault is not None:  # recorded on its way out, or swallowed before this exception
-                raise rt._fault
-            raise rt._record(RuntimeFault("IMPLEMENTATION_PANIC", f"implementation raised "
-                                          f"{type(exc).__name__}: {exc}", self.name)) from exc
-        finally:
-            rt._top = below
 
-        if rt._fault is not None:  # a fault the implementation swallowed
-            raise rt._fault
-        if self.result is _NO_RETURN:
-            if not act.fired:
-                raise rt._record(RuntimeFault("NO_CONTINUATION_CALLED", "implementation finished "
-                                              "without publish or nopublish", self.name))
-        elif self.result is _RETURNS_VALUE:
-            if not self.accepts(returned):
-                raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"returned value must be "
-                                              f"{self.tag}, got {returned!r}", self.name))
-            return returned, act.taints
-        elif returned is not None:
-            raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"controller returned a value "
-                                          f"({returned!r}) but must not", self.name))
-        return None
-
-
-# The seven contract shapes, keyed by a contract's capability kind (None without one) and
-# publish spec, and the codes ``_Plan.run`` tests in order: pulled contexts, publishers and
-# controllers first. Each call hands an implementation exactly its arguments: the payload if
-# any, the capability's handle, then the continuations the publish spec grants.
+# The seven contract shapes, keyed by a contract's capability kind (None without one) and publish
+# spec: the drain in ``Runtime.emit`` tests codes 1-5 in order, for queued components, and the get
+# handle 0 against 6, for pulled contexts. Each call hands an implementation exactly its arguments:
+# the payload if any, the capability's handle, then the continuations the publish spec grants.
 _SHAPES = {(_GET, _NO_PUBLISH): 0, (None, _ALWAYS): 1, (_DO, _NO_PUBLISH): 2, (_GET, _MAYBE): 3,
            (_GET, _ALWAYS): 4, (None, _MAYBE): 5, (None, _NO_PUBLISH): 6}
 
@@ -165,8 +107,8 @@ _SHAPES = {(_GET, _NO_PUBLISH): 0, (None, _ALWAYS): 1, (_DO, _NO_PUBLISH): 2, (_
 class _Activation:
     """One run of one component. Its bound methods ``get``, ``do``, ``publish``
     and ``nopublish`` are the handles its implementation receives, so every
-    handle belongs to exactly one activation and dies with it. Only ``_Plan.run``
-    makes one, and fills its slots itself."""
+    handle belongs to exactly one activation and dies with it. Only the drain in
+    ``Runtime.emit`` (a queued one) and ``get`` (a pulled one) make one, in place."""
 
     __slots__ = ("rt", "plan", "taints", "fired")  # fired: a continuation has taken effect
 
@@ -188,8 +130,28 @@ class _Activation:
         if rt._top is not self or rt._fault is not None:
             self._refuse()
         target, v = plan.target, None
-        if target.impl is not None:  # a pull-activated context
-            payload, taints = target.run(rt, None, 0)  # a pulled context starts untainted
+        if target.impl is not None:  # activate the pulled context, untainted, with this one below it
+            act = _new(_Activation)
+            act.rt, act.plan, act.taints, act.fired = rt, target, 0, False
+            if rt.trace is not None:
+                rt._trace_activation(target, None, 0)
+            rt._top = act
+            try:  # shape 0 or 6 (see _SHAPES)
+                payload = target.impl(act.get) if target.shape == 0 else target.impl()
+            except _ActivationEscape as esc:
+                if not esc.args or esc.args[0] is not act:
+                    rt._panic(target.name)
+                payload = None
+            except Exception as exc:
+                rt._panic(target.name, exc)
+            finally:
+                rt._top = self
+            if rt._fault is not None:  # a fault the implementation swallowed
+                raise rt._fault
+            if not target.accepts(payload):
+                raise rt._record(RuntimeFault("CONTRACT_VIOLATION", f"returned value must be "
+                                              f"{target.tag}, got {payload!r}", target.name))
+            taints = act.taints
         else:
             current = target.resource.current  # outside the try, as in ``emit``
             try:
@@ -425,9 +387,42 @@ class Runtime:
             queue, payload, taints = self._queue, v.payload, source.taints
             for subscriber in source.subscribers:
                 queue.append((subscriber, payload, taints))
-            while queue:
+            while queue:  # activate each queued context or controller (see _SHAPES), nothing below it
                 plan, payload, taints = queue.popleft()
-                plan.run(self, payload, taints)
+                act = _new(_Activation)  # filled in place: no __init__ frame on the hot path
+                act.rt, act.plan, act.taints, act.fired = self, plan, taints, False
+                if self.trace is not None:
+                    self._trace_activation(plan, payload, taints)
+                shape, impl = plan.shape, plan.impl
+                self._top = act
+                try:
+                    if shape == 1:
+                        returned = impl(payload, act.publish)
+                    elif shape == 2:
+                        returned = impl(payload, act.do)
+                    elif shape == 3:
+                        returned = impl(payload, act.get, act.publish, act.nopublish)
+                    elif shape == 4:
+                        returned = impl(payload, act.get, act.publish)
+                    else:
+                        returned = impl(payload, act.publish, act.nopublish)
+                except _ActivationEscape as esc:
+                    if not esc.args or esc.args[0] is not act:
+                        self._panic(plan.name)
+                    returned = None
+                except Exception as exc:
+                    self._panic(plan.name, exc)
+                finally:
+                    self._top = None
+                if self._fault is not None:  # a fault the implementation swallowed
+                    raise self._fault
+                if plan.result is _NO_RETURN:
+                    if not act.fired:
+                        raise self._record(RuntimeFault("NO_CONTINUATION_CALLED", "implementation finished "
+                                                        "without publish or nopublish", plan.name))
+                elif returned is not None:
+                    raise self._record(RuntimeFault("CONTRACT_VIOLATION", f"controller returned a value "
+                                                    f"({returned!r}) but must not", plan.name))
         except BaseException:
             self._failed = True
             self._queue.clear()
@@ -469,6 +464,19 @@ class Runtime:
         """The ``code`` fault, blamed on ``component``, of platform code (``party``) that raised ``exc``."""
         return self._record(RuntimeFault(code, f"{party} raised {type(exc).__name__}: {exc}", component))
 
+    def _panic(self, component: str, exc: Exception | None = None):
+        """Raise the kept fault, else ``component``'s panic for ``exc`` (None: another activation's escape)."""
+        if self._fault is not None:  # recorded on its way out, or swallowed before this exception
+            raise self._fault
+        what = "the escape of another activation's continuation" if exc is None else f"{type(exc).__name__}: {exc}"
+        raise self._record(RuntimeFault("IMPLEMENTATION_PANIC", f"implementation raised {what}", component)) from exc
+
+    def _trace_activation(self, plan: _Plan, payload, taints: int) -> None:
+        """Hand the trace hook the "activate" event of ``plan``, before it runs."""
+        param = plan.contract.activation_param
+        value = None if param is None else TaintedValue(Value(param, payload), self._names[taints])
+        self._call_out("HOOK_FAULT", plan.name, "trace hook", self.trace, TraceEvent("activate", plan.name, value))
+
 
 _JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
 
@@ -506,7 +514,9 @@ def _tail_calls_only(ops, name: str) -> bool:
             # took it, or a copy of it, as an operand: an argument, a walrus, a subscript.
             if depth < 2 and ops[j].opname != "PRECALL":
                 return False
-        after = [(o.opname, o.argval) for o in ops[j + 1:j + 4]]  # none if the walk found no call
+        nxt = ops[j + 1:j + 2]  # the op after the call: none if the walk found no call
+        k = [o.offset for o in ops].index(nxt[0].argval) if nxt and nxt[0].opname == "JUMP_FORWARD" else j + 1
+        after = [(o.opname, o.argval) for o in ops[k:k + 3]]  # past one jump to a return branches share
         if after[:1] != [("RETURN_VALUE", None)] and after != [("POP_TOP", None), ("LOAD_CONST", None),
                                                                 ("RETURN_VALUE", None)]:
             return False

@@ -352,9 +352,9 @@ def test_deepest_valid_pull_chain_runs_with_a_hook_attached():
     assert [ev.kind for ev in events].count("pull") == MAX_PULL_DEPTH + 1
 
 
-def test_each_pull_level_costs_three_interpreter_frames():
-    """The get handle, the pulled plan's run and the implementation: no trampoline
-    between the plan and the implementation it calls (see ``decls.MAX_PULL_DEPTH``)."""
+def test_each_pull_level_costs_two_interpreter_frames():
+    """The get handle and the implementation it calls: the handle starts the pulled
+    activation itself, with no frame between (see ``decls.MAX_PULL_DEPTH``)."""
     depth, frames = 5, {}
 
     def level(i):
@@ -369,7 +369,7 @@ def test_each_pull_level_costs_three_interpreter_frames():
     rt.set_source("S", int_value(0))
     rt.emit("S", int_value(0))
     assert sinks["A"].deliveries == [int_value(depth)]
-    assert [frames[i + 1] - frames[i] for i in range(1, depth)] == [3] * (depth - 1)
+    assert [frames[i + 1] - frames[i] for i in range(1, depth)] == [2] * (depth - 1)
 
 
 def test_get_capability_takes_no_arguments():
@@ -516,8 +516,13 @@ TAIL_FORMS = {
     "a conditional argument": (False, _def("publish(v if v > 0 else -v)")),
     "a walrus on the handle": (False, _def("return (t := publish)(helper(t, v))")),
     "a jump in a helper's argument": (False, _def("return helper(publish, v + (0 if v else 1))")),
-    "a conditional around the call": (False, lambda after, stash: lambda v, publish, nopublish:
-                                      publish(v) if v else None),  # a jump joins the return
+    "a conditional around the call": (True, lambda after, stash: lambda v, publish, nopublish:
+                                      publish(v) if v else None),  # a jump to the return the branches share
+    "a conditional statement, then return": (True, _def("publish(v) if v > 0 else nopublish()\nreturn")),
+    "return of a conditional": (True, _def("return publish(v) if v > 0 else nopublish()")),
+    "a jump to a store": (False, _def("x = publish(v) if v else None\nafter.append(x)")),
+    "a jump to another test": (False, _def("return (publish(v) if v else None) or after.append(v)")),
+    "a test of the call's result": (False, _def("return publish(v) or after.append(v)")),
     "*args": (False, lambda after, stash: _starred),
     "functools.partial": (False, lambda after, stash: functools.partial(_with_extra, None)),
     "a bound method": (False, lambda after, stash: _Impl().method),
@@ -1686,3 +1691,79 @@ def test_no_activation_is_left_on_top_after_a_fault(kind):
             handle()
         assert stale.value.code == "STALE_HANDLE"
     assert rt._top is None and rt._fault is fault
+
+
+def _reraise_escape(get, kept):
+    raise kept["escape"]
+
+
+def _swallow_stale(get, kept):
+    with contextlib.suppress(RuntimeFault):
+        kept["get"]()  # its get handle of the first emit
+    return 0
+
+
+PULLED_EXITS = {  # how the deepest pulled context leaves on the second emit, the fault and its cause
+    "raises": (lambda get, kept: get() // 0, "IMPLEMENTATION_PANIC [{}]: implementation raised "
+               "ZeroDivisionError: integer division or modulo by zero", ZeroDivisionError),
+    "raises another activation's escape": (_reraise_escape, PANIC, None),
+    "swallows a recorded fault": (_swallow_stale, "STALE_HANDLE [{}]: handle used outside the activation it "
+                                  "was granted to", None),
+    "returns the wrong type": (lambda get, kept: "x", "CONTRACT_VIOLATION [{}]: returned value must be Int, "
+                               "got 'x'", None),
+    "fails its hook": (lambda get, kept: get(), "HOOK_FAULT [{}]: trace hook raised OSError: hook down", OSError),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("case", PULLED_EXITS)
+def test_each_exit_of_a_pulled_context_fails_the_drain_with_its_fault(case, depth):
+    """``genspec.pull_chain(depth)``: P and each R<i> above the deepest pull twice, and each runs on
+    top again after its pulls. On the second emit R<depth> leaves by ``case``: its fault, blamed on it,
+    fails the drain through every puller, which gets no value, with no activation left on top and an
+    empty queue."""
+    leave, message, cause = PULLED_EXITS[case]
+    deepest, kept, on_top, pulled = f"R{depth}", {}, [], []
+
+    def deepest_impl(get):
+        if "leave" in kept:
+            return leave(get, kept)
+        kept["get"] = get
+        return get()
+
+    def pull(get):
+        pulled.append(get())
+        return pulled[-1]
+
+    def relay(get):
+        x = pull(get) + pull(get)
+        on_top.append(rt._top is get.__self__)
+        return x
+
+    def puller(v, get, publish):
+        x = pull(get) + pull(get)
+        on_top.append(rt._top is get.__self__)
+        try:  # not a tail call: the publish raises its escape, which P keeps
+            publish(x)
+        except BaseException as escape:
+            kept["escape"] = escape
+            raise
+
+    def hook(event):
+        if (event.kind, event.component) == ("activate", deepest) and case == "fails its hook":
+            raise OSError("hook down")
+
+    impls = {f"R{i}": relay for i in range(1, depth)}
+    impls.update({deepest: deepest_impl, "P": puller, "C": lambda v, do: do(v)})
+    rt, _, sinks = wire(genspec.pull_chain(depth), impls)
+    rt.emit("S", int_value(1))
+    assert sinks["A"].deliveries == [int_value(2 ** depth)]
+    assert on_top == [True] * (2 ** depth - 1) and rt._top is None and not rt.failed
+    assert len(pulled) == 2 * len(on_top)
+    rt.trace, kept["leave"] = hook, True
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(1))
+    assert str(err.value) == message.format(deepest) and err.value.component == deepest
+    assert (type(err.value.__cause__) if cause else err.value.__cause__) is cause
+    assert rt.failed and not rt._queue and rt._top is None
+    assert sinks["A"].deliveries == [int_value(2 ** depth)] and len(pulled) == 2 * len(on_top)
