@@ -191,7 +191,8 @@ def _article(kind: str) -> str:
 
 # One row per rule a name is resolved under: the kinds it may name and what a contract says of a wrong
 # kind; then, for validate's four (a trigger, get target or do target), the label a missing name gets,
-# the label a wrong kind gets and what it is told to expect. The fifth is derive_contract's own name.
+# the label a wrong kind gets and what it is told to expect. The fifth is derive_contract's own name,
+# and the last two the runtime's: the name bound as a provider or emitted, and the one bound as a sink.
 _CONTEXT_TRIGGER = ((SourceDecl, ContextDecl), " and has no output type", "trigger", "trigger",
                     "expected a source or context")
 _GET_TARGET = ((SourceDecl, ContextDecl), " and has no output type", "get target", "get target",
@@ -200,6 +201,8 @@ _CONTROLLER_TRIGGER = (ContextDecl, "; controllers are triggered by contexts", "
                        "controllers are triggered by contexts")
 _DO_TARGET = (ActionDecl, " and has no input type", "action", "do target", "expected an action")
 _COMPONENT = ((ContextDecl, ControllerDecl), "; only contexts and controllers carry boundary contracts")
+_SOURCE = (SourceDecl, ", not a source")
+_ACTION = (ActionDecl, ", not an action")
 
 
 def validate(spec: Specification) -> list[Diagnostic]:
@@ -259,10 +262,11 @@ def validate(spec: Specification) -> list[Diagnostic]:
     return diags
 
 
-def _refused(name: str, row: tuple, found: Declaration | None):
-    """The contract side's refusal of a reference ``name`` that does not resolve under ``row``."""
+def _refused(name: str, row: tuple, found: Declaration | None, missing: str = "NOT_FOUND"):
+    """The refusal of a reference ``name`` that does not resolve under ``row``, outside ``validate``:
+    the ``missing`` code if it is not declared (the runtime's is ``UNDECLARED_COMPONENT``)."""
     if found is None:
-        raise KernelError("NOT_FOUND", f"'{name}' is not declared", component=name)
+        raise KernelError(missing, f"'{name}' is not declared", component=name)
     raise KernelError("WRONG_KIND", f"'{name}' is {_article(found.kind)}{row[1]}", component=name)
 
 

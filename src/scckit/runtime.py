@@ -12,7 +12,9 @@ its trigger publishes and that each pull reaches a source or a when-required con
 relies on that and does not check it again. It fixes each component's targets, type, entry check
 and shape code from its contract and links subscribers along the spec's index. The drain in ``emit``
 starts a queued component and a get handle a pulled context, each calling the implementation by
-one of seven calls, so no activation reads a name, nor a contract but to trace it.
+one of seven calls and telling a controller by its shape code, so no activation reads a name, nor
+a contract but to trace it. The registry resolves each name it is given by ``decls._resolve``, the
+rule ``validate`` and the contracts use, and tests no declaration class itself.
 
 A single engine instance is single-threaded. Capability and continuation handles are the bound
 methods of one activation, and work only while it runs on top (``Runtime._top``, one slot; a pulled
@@ -35,8 +37,8 @@ from dataclasses import dataclass
 from itertools import compress
 from types import FunctionType, MappingProxyType
 
-from .contracts import _DO, _GET, _NO_RETURN, derive_all
-from .decls import _ALWAYS, _MAYBE, _NO_PUBLISH, ActionDecl, SourceDecl, Specification, _article, validate
+from .contracts import _DO, _GET, derive_all
+from .decls import _ACTION, _ALWAYS, _MAYBE, _NO_PUBLISH, _SOURCE, Specification, _refused, _resolve, validate
 from .errors import KernelError, RuntimeFault
 from .values import PAYLOAD_CHECKS, TaintedValue, Value
 
@@ -45,6 +47,7 @@ _BITS = bytes.maketrans(b"01", b"\x00\x01")  # a mask's binary digits, as the se
 _new = object.__new__
 _set_tag, _set_payload = Value.tag.__set__, Value.payload.__set__
 _set_value, _set_taints = TaintedValue.value.__set__, TaintedValue.taints.__set__
+_undeclared = functools.partial(_refused, missing="UNDECLARED_COMPONENT")  # the registry's refusal of a name
 
 
 class _ActivationEscape(BaseException):
@@ -79,13 +82,13 @@ class _Plan:
     """One declaration as registered or bound, then sealed. Each has a type (``tag``), which a
     component publishes or returns (a controller none), and its check (``accepts``). A source or
     action also has its provider or sink, and its taint: a source its bit, an action None. A
-    component has its implementation, contract, result kind, capability ``target`` plan, ``shape``
-    code (how its activations start: see _SHAPES) and, if it publishes, whether its ``publish``
-    and ``nopublish`` return. Plans link to the ``subscribers`` they wake but never back to their
-    runtime, so a dropped runtime is freed at once, without the cycle collector."""
+    component has its implementation, capability ``target`` plan, ``shape`` code (how its activations
+    start, a controller's code 2: see _SHAPES) and, if it publishes, whether its ``publish`` and
+    ``nopublish`` return; no contract and no result kind. Plans link to the ``subscribers`` they wake
+    but never back to their runtime, so a dropped runtime is freed at once, without the cycle collector."""
 
-    __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "contract", "result", "shape",
-                 "target", "subscribers", "publish_returns", "nopublish_returns")
+    __slots__ = ("name", "impl", "resource", "tag", "accepts", "taints", "shape", "target", "subscribers",
+                 "publish_returns", "nopublish_returns")
 
     def __init__(self, name: str, impl, resource):
         self.name, self.impl, self.resource = name, impl, resource
@@ -269,8 +272,9 @@ class Runtime:
         if name not in self._contracts:
             raise KernelError("UNDECLARED_COMPONENT",
                               f"'{name}' is not a declared context or controller", component=name)
-        if impl is None:
-            raise KernelError("MISSING_IMPLEMENTATION", f"'{name}' cannot be registered as None")
+        if not callable(impl):
+            raise KernelError("MISSING_IMPLEMENTATION", f"'{name}' cannot be registered as "
+                              f"{'None' if impl is None else 'an object that is not callable'}")
         if name in self._plans:
             raise KernelError("DUPLICATE_IMPLEMENTATION",
                               f"'{name}' already has an implementation", component=name)
@@ -283,16 +287,16 @@ class Runtime:
         ``set(Value)``; emitted values are pushed into it so later pulls see
         the newest value.
         """
-        self._bind(name, provider, SourceDecl)
+        self._bind(name, provider, _SOURCE)
 
     def bind_action(self, name: str, sink) -> None:
         """Attach the platform callable consuming values sent to action ``name``."""
-        self._bind(name, sink, ActionDecl)
+        self._bind(name, sink, _ACTION)
 
-    def _bind(self, name, obj, decl_cls):
+    def _bind(self, name, obj, row):
         self._ensure_unsealed()
-        decl = self._decl(name, decl_cls)
-        if decl_cls is SourceDecl:  # the provider duck type: a callable current and set
+        decl = _resolve(name, row, self.spec._table, _undeclared)
+        if row is _SOURCE:  # the provider duck type: a callable current and set
             lacks = " and ".join(f"'{m}'" for m in ("current", "set") if not callable(getattr(obj, m, None)))
             lacks = lacks and f"without a callable {lacks}"
         else:
@@ -303,39 +307,28 @@ class Runtime:
         if name in self._plans:
             raise KernelError("DUPLICATE_BINDING", f"'{name}' is already bound", component=name)
         plan = self._plans[name] = _Plan(name, None, obj)
-        plan.tag = decl.out_type if decl_cls is SourceDecl else decl.in_type
+        plan.tag = decl.out_type if row is _SOURCE else decl.in_type
         plan.accepts, plan.taints = PAYLOAD_CHECKS[plan.tag], self.spec._sources.get(name)
-        if decl_cls is SourceDecl:
+        if row is _SOURCE:
             self._sources[name] = plan
-
-    def _decl(self, name: str, decl_cls):
-        decl = self.spec.find(name)
-        if decl is None:
-            raise KernelError("UNDECLARED_COMPONENT", f"'{name}' is not declared", component=name)
-        if not isinstance(decl, decl_cls):
-            raise KernelError("WRONG_KIND", f"'{name}' is {_article(decl.kind)}, not {_article(decl_cls.kind)}",
-                              component=name)
-        return decl
 
     def seal(self) -> None:
         """Freeze the registry once every component is implemented and bound, and compile
         it from the contracts and the spec's wiring index (see the module docstring)."""
         self._ensure_unsealed()
         plans, contracts = self._plans, self._contracts
-        # Plans are keyed by declared names only, so equal counts mean nothing is missing.
+        # Plans are keyed by declared names only, so equal counts mean nothing is missing. Missing
+        # components are named before resources, each in declaration order.
         if len(plans) < len(self.spec.declarations):
-            unbound = [d.name for d in self.spec.declarations
-                       if isinstance(d, (SourceDecl, ActionDecl)) and d.name not in plans]
-            for code, what, missing in (("MISSING_IMPLEMENTATION", "unimplemented components",
-                                         [name for name in contracts if name not in plans]),
-                                        ("MISSING_BINDING", "unbound resources", unbound)):
-                if missing:
-                    err = KernelError(code, f"{what}: " + ", ".join(missing))
-                    err.names = tuple(missing)
-                    raise err
+            missing = [name for name in self.spec._table if name not in plans]
+            missing = [name for name in missing if name in contracts] or missing
+            code, what = (("MISSING_IMPLEMENTATION", "unimplemented components") if missing[0] in contracts
+                          else ("MISSING_BINDING", "unbound resources"))
+            err = KernelError(code, f"{what}: " + ", ".join(missing))
+            err.names = tuple(missing)
+            raise err
         for name, c in contracts.items():
             plan = plans[name]
-            plan.contract = c
             if c.capability is not None:
                 plan.target = plans[c.capability.target]
             if c.publish is not _NO_PUBLISH:
@@ -347,7 +340,7 @@ class Runtime:
                 plan.nopublish_returns = c.publish is _MAYBE and at + 1 in tails
             plan.tag = c.publish_type or c.result_type  # a controller neither publishes nor returns
             plan.accepts = PAYLOAD_CHECKS.get(plan.tag)
-            plan.result, plan.shape = c.result, _SHAPES[c.capability and c.capability.kind, c.publish]
+            plan.shape = _SHAPES[c.capability and c.capability.kind, c.publish]
         subscribers: dict[str, list[_Plan]] = {}
         for trigger, name, kind in zip(*self.spec._wiring[0]):
             if kind == "publish":
@@ -416,13 +409,13 @@ class Runtime:
                     self._top = None
                 if self._fault is not None:  # a fault the implementation swallowed
                     raise self._fault
-                if plan.result is _NO_RETURN:
-                    if not act.fired:
-                        raise self._record(RuntimeFault("NO_CONTINUATION_CALLED", "implementation finished "
-                                                        "without publish or nopublish", plan.name))
-                elif returned is not None:
-                    raise self._record(RuntimeFault("CONTRACT_VIOLATION", f"controller returned a value "
-                                                    f"({returned!r}) but must not", plan.name))
+                if shape == 2:  # a controller, which returns nothing
+                    if returned is not None:
+                        raise self._record(RuntimeFault("CONTRACT_VIOLATION", f"controller returned a value "
+                                                        f"({returned!r}) but must not", plan.name))
+                elif not act.fired:  # a when-provided context, which leaves by a continuation
+                    raise self._record(RuntimeFault("NO_CONTINUATION_CALLED", "implementation finished "
+                                                    "without publish or nopublish", plan.name))
         except BaseException:
             self._failed = True
             self._queue.clear()
@@ -431,7 +424,7 @@ class Runtime:
 
     def _checked_source(self, name: str, v) -> None:
         """Raise the entry error of ``v``, which no bound source ``name`` admits."""
-        decl = self._decl(name, SourceDecl)
+        decl = _resolve(name, _SOURCE, self.spec._table, _undeclared)
         if name not in self._sources:
             raise KernelError("MISSING_BINDING", f"source '{name}' has no provider bound", component=name)
         raise KernelError("TYPE_MISMATCH", f"source '{name}' carries {decl.out_type}, got {_describe(v)}",
@@ -473,7 +466,7 @@ class Runtime:
 
     def _trace_activation(self, plan: _Plan, payload, taints: int) -> None:
         """Hand the trace hook the "activate" event of ``plan``, before it runs."""
-        param = plan.contract.activation_param
+        param = self._contracts[plan.name].activation_param
         value = None if param is None else TaintedValue(Value(param, payload), self._names[taints])
         self._call_out("HOOK_FAULT", plan.name, "trace hook", self.trace, TraceEvent("activate", plan.name, value))
 

@@ -127,7 +127,8 @@ def test_register_requires_declared_computing_component():
     for name in ("Ghost", "S", "A"):
         with pytest.raises(KernelError) as err:
             rt.register(name, lambda: None)
-        assert err.value.code == "UNDECLARED_COMPONENT"
+        assert str(err.value) == f"UNDECLARED_COMPONENT [{name}]: '{name}' is not a declared context or controller"
+        assert err.value.component == name
 
 
 def test_bindings_check_kind_and_uniqueness():
@@ -169,6 +170,35 @@ def test_seal_names_missing_bindings():
         rt.seal()
     assert err.value.code == "MISSING_BINDING"
     assert err.value.names == ("A",)
+
+
+def test_seal_names_every_missing_name_in_declaration_order_components_first():
+    spec = Specification((
+        SourceDecl("Sb", INT),
+        ContextDecl("Pz", INT, when_provided("Sb", PublishSpec.ALWAYS)),
+        ActionDecl("Ay", INT),
+        SourceDecl("Sa", INT),
+        ControllerDecl("Cb", "Pz", "Ay"),
+        ContextDecl("Pa", INT, when_provided("Sa", PublishSpec.ALWAYS)),
+        ActionDecl("Ax", INT),
+        ControllerDecl("Ca", "Pa", "Ax"),
+    ))
+    rt = create_runtime(spec)
+    rt.register("Cb", lambda v, do: do(v))
+    rt.register("Pa", lambda v, publish: publish(v))
+    rt.bind_source("Sb", ScriptedSource())
+    rt.bind_action("Ax", RecordingSink())
+    with pytest.raises(KernelError) as err:
+        rt.seal()
+    assert str(err.value) == "MISSING_IMPLEMENTATION: unimplemented components: Pz, Ca"
+    assert err.value.names == ("Pz", "Ca") and err.value.component is None
+    rt.register("Ca", lambda v, do: do(v))
+    rt.register("Pz", lambda v, publish: publish(v))
+    with pytest.raises(KernelError) as err:
+        rt.seal()
+    assert str(err.value) == "MISSING_BINDING: unbound resources: Ay, Sa"
+    assert err.value.names == ("Ay", "Sa") and err.value.component is None
+    assert not rt.sealed
 
 
 def test_rt_contracts_cannot_change_what_seal_links():
@@ -237,6 +267,22 @@ def test_wrong_kind_messages_name_each_kind_with_its_article():
         "'Camera' is a source; only contexts and controllers carry boundary contracts",
         "'Screen' is an action; only contexts and controllers carry boundary contracts",
     ]
+
+
+@pytest.mark.parametrize("call", ["bind_source", "bind_action", "set_source", "emit"])
+@pytest.mark.parametrize("name, expected", [
+    ("Ghost", "UNDECLARED_COMPONENT [Ghost]: 'Ghost' is not declared"),
+    ("P", "WRONG_KIND [P]: 'P' is a context, not {}"),
+    ("C", "WRONG_KIND [C]: 'C' is a controller, not {}"),
+])
+def test_each_registry_call_refuses_a_name_of_no_resource_it_takes(call, name, expected):
+    """``bind_*``, ``set_source`` and ``emit`` name what they were asked for: a missing name, then a wrong kind."""
+    rt = wire(CHAIN, chain_impls())[0] if call == "emit" else create_runtime(CHAIN)
+    arg = {"bind_source": ScriptedSource(), "bind_action": RecordingSink()}.get(call, int_value(1))
+    with pytest.raises(KernelError) as err:
+        getattr(rt, call)(name, arg)
+    assert str(err.value) == expected.format("an action" if call == "bind_action" else "a source")
+    assert err.value.component == name
 
 
 def test_emit_rejects_non_sources_and_unknowns():
@@ -904,16 +950,23 @@ def test_binding_an_object_without_the_duck_type_is_rejected(name, obj, expected
     rt.bind_action("A", RecordingSink())
 
 
-def test_registering_none_is_rejected():
+@pytest.mark.parametrize("impl, what", [
+    (None, "None"), (5, "an object that is not callable"), ("P", "an object that is not callable"),
+    (types.SimpleNamespace(__call__=lambda v, publish: None), "an object that is not callable"),
+])
+def test_registering_an_object_that_is_not_callable_is_rejected(impl, what):
+    """The caller's fault, refused at once: not a panic blamed on the component at its first
+    activation, after sinks in that drain may have been called, or never if it is never woken."""
     rt = create_runtime(CHAIN)
     with pytest.raises(KernelError) as err:
-        rt.register("Ghost", None)
+        rt.register("Ghost", impl)
     assert err.value.code == "UNDECLARED_COMPONENT"  # the declared-component check comes first
     for name in ("P", "C"):
         with pytest.raises(KernelError) as err:
-            rt.register(name, None)
-        assert str(err.value) == f"MISSING_IMPLEMENTATION: '{name}' cannot be registered as None"
-    rt.register("P", chain_impls()["P"])  # the refused registration left the name free
+            rt.register(name, impl)
+        assert str(err.value) == f"MISSING_IMPLEMENTATION: '{name}' cannot be registered as {what}"
+    for name, impl in chain_impls().items():  # the refused registrations left the names free
+        rt.register(name, impl)
 
 
 def test_set_source_on_an_unbound_source_is_a_missing_binding():
