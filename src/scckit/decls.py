@@ -163,8 +163,8 @@ class Specification:
                     flat += target, d.name, "pull"
             elif isinstance(d, ControllerDecl):
                 flat += d.trigger, d.name, "publish", d.name, d.action, "command"
-            elif isinstance(d, SourceDecl) and table[d.name] is d:
-                sources[d.name] = 1 << len(sources)
+            elif isinstance(d, SourceDecl) and table[d.name] is d:  # numbered once, even where one object repeats
+                sources.setdefault(d.name, 1 << len(sources))
         edges = tuple(flat[0::3]), tuple(flat[1::3]), tuple(flat[2::3])
         self.__dict__.update(declarations=declarations, _table=table, _wiring=(edges, pulls, publishes),
                              _sources=sources)
@@ -273,7 +273,10 @@ def _refused(name: str, row: tuple, found: Declaration | None, missing: str = "N
 def _resolve(name: str, row: tuple, table: dict[str, Declaration], refuse=_refused) -> Declaration | None:
     """The declaration ``name`` names under ``row``: the one lookup and kind test. When it is missing or of
     a kind the row does not allow, what ``refuse(name, row, found)`` gives (``found`` None or the wrong kind)."""
-    found = table.get(name)
+    try:
+        found = table.get(name)
+    except TypeError:  # a name that is not hashable names nothing
+        found = None
     if isinstance(found, row[0]):
         return found
     return refuse(name, row, found)

@@ -16,7 +16,7 @@ class KernelError(Exception):
         super().__init__(str(self))
 
     def __str__(self) -> str:
-        if self.component:
+        if self.component is not None:  # None: no component; a falsy name keeps its blame
             return f"{self.code} [{self.component}]: {self.detail}"
         return f"{self.code}: {self.detail}"
 

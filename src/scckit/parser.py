@@ -160,23 +160,19 @@ class _Parser:
 
     def context_contract(self) -> InteractionContract:
         head = self.advance()
-        if head[0] == "when-required":
-            get = None
-            if self.peek() == "get":
-                self.advance()
-                get = self.name("component name")
+        if head[0] not in ("when-required", "when-provided"):
+            self.fail(head, f"expected 'when-required' or 'when-provided', found {_describe(head[0])}")
+        trigger = self.name("component name") if head[0] == "when-provided" else None
+        get = None
+        if self.peek() == "get":
+            self.advance()
+            get = self.name("component name")
+        if trigger is None:
             return InteractionContract(None, get, _NO_PUBLISH)
-        if head[0] == "when-provided":
-            trigger = self.name("component name")
-            get = None
-            if self.peek() == "get":
-                self.advance()
-                get = self.name("component name")
-            pub = self.advance()
-            if pub[0] not in _PUBLISH:
-                self.fail(pub, f"expected 'always_publish' or 'maybe_publish', found {_describe(pub[0])}")
-            return InteractionContract(trigger, get, _PUBLISH[pub[0]])
-        self.fail(head, f"expected 'when-required' or 'when-provided', found {_describe(head[0])}")
+        pub = self.advance()
+        if pub[0] not in _PUBLISH:
+            self.fail(pub, f"expected 'always_publish' or 'maybe_publish', found {_describe(pub[0])}")
+        return InteractionContract(trigger, get, _PUBLISH[pub[0]])
 
 
 # The accepting path. Comments are blanked before matching, so a gap is only

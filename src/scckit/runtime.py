@@ -11,10 +11,11 @@ code hands it in. ``validate`` and ``derive_all`` prove that each activation pay
 its trigger publishes and that each pull reaches a source or a when-required context; ``seal``
 relies on that and does not check it again. It fixes each component's targets, type, entry check
 and shape code from its contract and links subscribers along the spec's index. The drain in ``emit``
-starts a queued component and a get handle a pulled context, each calling the implementation by
-one of seven calls and telling a controller by its shape code, so no activation reads a name, nor
-a contract but to trace it. The registry resolves each name it is given by ``decls._resolve``, the
-rule ``validate`` and the contracts use, and tests no declaration class itself.
+starts a queued component and a get handle a pulled context, each calling the implementation by one
+of seven calls and telling a controller by its shape code, so no activation reads a name, nor a
+contract but to trace it. Only ``Runtime._trace`` builds a ``TraceEvent``; each event site calls it
+while ``rt.trace``, read there, is set. The registry resolves each name by ``decls._resolve``, the
+rule of ``validate`` and the contracts, and tests no declaration class itself.
 
 A single engine instance is single-threaded. Capability and continuation handles are the bound
 methods of one activation, and work only while it runs on top (``Runtime._top``, one slot; a pulled
@@ -48,6 +49,7 @@ _new = object.__new__
 _set_tag, _set_payload = Value.tag.__set__, Value.payload.__set__
 _set_value, _set_taints = TaintedValue.value.__set__, TaintedValue.taints.__set__
 _undeclared = functools.partial(_refused, missing="UNDECLARED_COMPONENT")  # the registry's refusal of a name
+_UNSEALED, _READY, _EMITTING, _FAILED = "unsealed", "ready", "emitting", "failed"  # Runtime._state, in order
 
 
 class _ActivationEscape(BaseException):
@@ -132,12 +134,12 @@ class _Activation:
         rt, plan = self.rt, self.plan
         if rt._top is not self or rt._fault is not None:
             self._refuse()
-        target, v = plan.target, None
+        target = plan.target
         if target.impl is not None:  # activate the pulled context, untainted, with this one below it
             act = _new(_Activation)
             act.rt, act.plan, act.taints, act.fired = rt, target, 0, False
             if rt.trace is not None:
-                rt._trace_activation(target, None, 0)
+                rt._trace("activate", target.name, None, None, 0)
             rt._top = act
             try:  # shape 0 or 6 (see _SHAPES)
                 payload = target.impl(act.get) if target.shape == 0 else target.impl()
@@ -168,11 +170,8 @@ class _Activation:
                 raise rt._record(RuntimeFault("TYPE_MISMATCH", f"provider for '{target.name}' answered with "
                                               f"{_describe(v)}, expected {target.tag}", plan.name))
             payload, taints = v.payload, target.taints
-        trace = rt.trace
-        if trace is not None:
-            v = Value(target.tag, payload) if v is None else v
-            rt._call_out("HOOK_FAULT", plan.name, "trace hook", trace,
-                         TraceEvent("pull", plan.name, TaintedValue(v, rt._names[taints]), target=target.name))
+        if rt.trace is not None:
+            rt._trace("pull", plan.name, target.tag, payload, taints, target.name)
         self.taints |= taints
         return payload
 
@@ -224,10 +223,9 @@ class _Activation:
 class Runtime:
     """Sealed-registry event engine for one validated specification.
 
-    Lifecycle: register implementations and bind platform resources, seal, then emit source
-    values. Each emission drains the activation queue to quiescence before returning. Anything
-    that escapes a drain drops the queue and poisons the engine: it stays inspectable but accepts
-    no further emits. Blame is assigned in two places only: ``_blame`` and ``_record``.
+    Its lifecycle is one field, ``_state``: unsealed while implementations are registered and resources
+    bound, ready once sealed, emitting while an emit drains the queue to quiescence, and failed
+    (inspectable, but refusing emits) once anything escapes a drain, which drops the queue.
     """
 
     def __init__(self, spec: Specification):
@@ -247,29 +245,27 @@ class Runtime:
         self._log_values: list[TaintedValue] = []
         self._names = _Names()
         self._names.sources, self._names.held = spec._sources, 0
-        self._sealed = False
-        self._failed = False
-        self._emitting = False
+        self._state = _UNSEALED
         self.trace = None  # optional callable(TraceEvent), platform-side
 
     # -- registry ----------------------------------------------------------
 
     @property
     def sealed(self) -> bool:
-        return self._sealed
+        return self._state is not _UNSEALED
 
     @property
     def failed(self) -> bool:
-        return self._failed
+        return self._state is _FAILED
 
     def _ensure_unsealed(self):
-        if self._sealed:
+        if self._state is not _UNSEALED:
             raise KernelError("SEALED", "the runtime is sealed; registrations and bindings are frozen")
 
     def register(self, name: str, impl) -> None:
         """Bind ``impl`` as the one implementation of a context or controller."""
         self._ensure_unsealed()
-        if name not in self._contracts:
+        if not isinstance(name, str) or name not in self._contracts:  # a name that is not a str is not declared
             raise KernelError("UNDECLARED_COMPONENT",
                               f"'{name}' is not a declared context or controller", component=name)
         if not callable(impl):
@@ -347,30 +343,30 @@ class Runtime:
                 subscribers.setdefault(trigger, []).append(plans[name])
         for name, woken in subscribers.items():
             plans[name].subscribers = woken
-        self._sealed = True
+        self._state = _READY
 
     # -- execution ---------------------------------------------------------
 
     def set_source(self, name: str, v: Value) -> None:
         """Update a source's pull value without publishing."""
-        source = self._sources.get(name)
-        if source is None or not source.admits(v):
-            self._checked_source(name, v)
-        self._call_out("PLATFORM_FAULT", name, "provider", source.resource.set, v)
+        self._call_out("PLATFORM_FAULT", name, "provider", self._source(name, v).resource.set, v)
 
     def emit(self, name: str, v: Value) -> None:
         """Publish ``v`` from source ``name`` and run all reactions to quiescence."""
-        if not self._sealed:
-            raise KernelError("UNSEALED", "seal the runtime before emitting")
-        if self._failed:
-            raise KernelError("RUNTIME_FAILED",
-                              "a previous activation fault poisoned this runtime; no further emits")
-        if self._emitting:  # raised inside the call-out that made it, which blames its party
+        if self._state is not _READY:  # emitting: refused in the call-out that made it, which blames its party
+            if self._state is _UNSEALED:
+                raise KernelError("UNSEALED", "seal the runtime before emitting")
+            if self._state is _FAILED:
+                raise KernelError("RUNTIME_FAILED",
+                                  "a previous activation fault poisoned this runtime; no further emits")
             raise KernelError("REENTRANT_EMIT", f"emit of '{name}' started while an emit of this runtime runs")
-        source = self._sources.get(name)
+        try:  # costs nothing on 3.11 until it raises
+            source = self._sources.get(name)
+        except TypeError:  # a name that is not hashable, which _source refuses
+            source = None
         if source is None or not source.admits(v):
-            self._checked_source(name, v)
-        self._emitting = True
+            source = self._source(name, v)
+        self._state = _EMITTING
         try:
             set_ = source.resource.set  # outside the try: only what ``set`` raises is the provider's fault
             try:
@@ -385,7 +381,7 @@ class Runtime:
                 act = _new(_Activation)  # filled in place: no __init__ frame on the hot path
                 act.rt, act.plan, act.taints, act.fired = self, plan, taints, False
                 if self.trace is not None:
-                    self._trace_activation(plan, payload, taints)
+                    self._trace("activate", plan.name, self._contracts[plan.name].activation_param, payload, taints)
                 shape, impl = plan.shape, plan.impl
                 self._top = act
                 try:
@@ -417,16 +413,19 @@ class Runtime:
                     raise self._record(RuntimeFault("NO_CONTINUATION_CALLED", "implementation finished "
                                                     "without publish or nopublish", plan.name))
         except BaseException:
-            self._failed = True
+            self._state = _FAILED
             self._queue.clear()
             raise
-        self._emitting = False
+        self._state = _READY
 
-    def _checked_source(self, name: str, v) -> None:
-        """Raise the entry error of ``v``, which no bound source ``name`` admits."""
+    def _source(self, name: str, v) -> _Plan:
+        """The bound source ``name`` if it admits ``v``; else raise the entry error of ``emit`` and ``set_source``."""
         decl = _resolve(name, _SOURCE, self.spec._table, _undeclared)
-        if name not in self._sources:
+        source = self._sources.get(name)
+        if source is None:
             raise KernelError("MISSING_BINDING", f"source '{name}' has no provider bound", component=name)
+        if source.admits(v):
+            return source
         raise KernelError("TYPE_MISMATCH", f"source '{name}' carries {decl.out_type}, got {_describe(v)}",
                           component=name)
 
@@ -464,11 +463,11 @@ class Runtime:
         what = "the escape of another activation's continuation" if exc is None else f"{type(exc).__name__}: {exc}"
         raise self._record(RuntimeFault("IMPLEMENTATION_PANIC", f"implementation raised {what}", component)) from exc
 
-    def _trace_activation(self, plan: _Plan, payload, taints: int) -> None:
-        """Hand the trace hook the "activate" event of ``plan``, before it runs."""
-        param = self._contracts[plan.name].activation_param
-        value = None if param is None else TaintedValue(Value(param, payload), self._names[taints])
-        self._call_out("HOOK_FAULT", plan.name, "trace hook", self.trace, TraceEvent("activate", plan.name, value))
+    def _trace(self, kind: str, component: str, tag, payload, taints: int, target: str | None = None) -> None:
+        """Build and hand the trace hook ``component``'s ``kind`` event: the one place a ``TraceEvent`` is
+        made. Its value is ``payload`` as a ``tag`` value with ``taints`` decoded, or None without a tag."""
+        value = None if tag is None else TaintedValue(Value(tag, payload), self._names[taints])
+        self._call_out("HOOK_FAULT", component, "trace hook", self.trace, TraceEvent(kind, component, value, target))
 
 
 _JUMPS = frozenset(dis.hasjrel + dis.hasjabs)

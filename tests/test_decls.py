@@ -466,10 +466,11 @@ def test_flow_edges_match_a_per_declaration_oracle(spec, validated_first):
 @given(cycle_specs())
 @example(Specification((SourceDecl("S", INT), SourceDecl("S", INT))))
 @example(Specification((ContextDecl("X", INT, when_required()), SourceDecl("X", INT))))
+@example(Specification((SourceDecl("S", INT),) * 2))  # one declaration object, twice
 def test_the_flow_graph_numbers_sources_as_the_spec_index_does(spec):
-    """A repeated name is numbered once, where its first declaration is a source, in the flow
-    graph's ancestor masks as in the spec index, so a taint mask and an ancestor mask agree."""
-    assert _ancestry(build_flow_graph(spec))[1] == list(spec._sources)
+    """A repeated name is numbered once, where its first declaration is a source, with the same bit
+    in the flow graph's ancestor masks as in the spec index, so a taint mask and an ancestor mask agree."""
+    assert spec._sources == {n: 1 << i for i, n in enumerate(_ancestry(build_flow_graph(spec))[1])}
 
 
 def _naive_pull_depth(spec, name):

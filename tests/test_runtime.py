@@ -241,6 +241,44 @@ def test_emit_requires_seal():
     assert err.value.code == "UNSEALED"
 
 
+def test_each_point_of_the_lifecycle_gives_each_call_its_code():
+    """``sealed``, ``failed`` and what ``register``, ``bind_action``, ``emit`` and ``seal`` give (None: they
+    succeed), before ``seal``, after it, from a sink during a drain, and after a failed drain."""
+    rt, sink, armed, seen = create_runtime(CHAIN), RecordingSink(), [], []
+
+    def probe():
+        outcome = [rt.sealed, rt.failed]
+        for call, *args in (("register", "P", chain_impls()["P"]), ("bind_action", "A", reentering),
+                            ("emit", "S", int_value(1)), ("seal",)):
+            try:
+                outcome.append(getattr(rt, call)(*args))
+            except KernelError as err:
+                outcome.append(err.code)
+        return outcome
+
+    def reentering(v):
+        sink(v)
+        if armed:
+            seen.append(probe())
+            rt.emit("S", int_value(2))  # refused, and the refusal leaves the sink
+
+    for name, impl in chain_impls().items():
+        rt.register(name, impl)
+    rt.bind_source("S", ScriptedSource())
+    rt.bind_action("A", reentering)
+    assert probe() == [False, False, "DUPLICATE_IMPLEMENTATION", "DUPLICATE_BINDING", "UNSEALED", None]
+    assert probe() == [True, False, "SEALED", "SEALED", None, "SEALED"]
+    armed.append(True)
+    with pytest.raises(RuntimeFault) as err:
+        rt.emit("S", int_value(3))
+    assert seen == [[True, False, "SEALED", "SEALED", "REENTRANT_EMIT", "SEALED"]]
+    assert str(err.value) == ("PLATFORM_FAULT [A]: sink raised KernelError: REENTRANT_EMIT: "
+                              "emit of 'S' started while an emit of this runtime runs")
+    armed.clear()
+    assert probe() == [True, True, "SEALED", "SEALED", "RUNTIME_FAILED", "SEALED"]
+    assert [v.payload for v in sink.deliveries] == [2, 4] and not rt._queue
+
+
 def test_emit_type_checks_against_source_type():
     rt, _, _ = wire(CHAIN, chain_impls())
     with pytest.raises(KernelError) as err:
@@ -274,15 +312,47 @@ def test_wrong_kind_messages_name_each_kind_with_its_article():
     ("Ghost", "UNDECLARED_COMPONENT [Ghost]: 'Ghost' is not declared"),
     ("P", "WRONG_KIND [P]: 'P' is a context, not {}"),
     ("C", "WRONG_KIND [C]: 'C' is a controller, not {}"),
+    ("", "UNDECLARED_COMPONENT []: '' is not declared"),
+    (0, "UNDECLARED_COMPONENT [0]: '0' is not declared"),
 ])
 def test_each_registry_call_refuses_a_name_of_no_resource_it_takes(call, name, expected):
-    """``bind_*``, ``set_source`` and ``emit`` name what they were asked for: a missing name, then a wrong kind."""
+    """``bind_*``, ``set_source`` and ``emit`` name what they were asked for: a missing name, then a wrong
+    kind. A falsy name keeps its blame in the text."""
     rt = wire(CHAIN, chain_impls())[0] if call == "emit" else create_runtime(CHAIN)
     arg = {"bind_source": ScriptedSource(), "bind_action": RecordingSink()}.get(call, int_value(1))
     with pytest.raises(KernelError) as err:
         getattr(rt, call)(name, arg)
     assert str(err.value) == expected.format("an action" if call == "bind_action" else "a source")
     assert err.value.component == name
+
+
+@pytest.mark.parametrize("call", ["register", "bind_source", "bind_action", "set_source", "emit"])
+@pytest.mark.parametrize("name", [["P"], {}, ("S", ["S"])], ids=["list", "dict", "tuple of a list"])
+def test_a_name_that_is_not_hashable_is_an_undeclared_component(call, name):
+    """Each registry call refuses a name that is not hashable with a stable code that blames it, and the
+    refusal poisons nothing: the runtime then wires, seals and emits as usual."""
+    rt, sink = create_runtime(CHAIN), RecordingSink()
+
+    def wire_up():
+        for declared, impl in chain_impls().items():
+            rt.register(declared, impl)
+        rt.bind_source("S", ScriptedSource())
+        rt.bind_action("A", sink)
+        rt.seal()
+
+    if call in ("set_source", "emit"):
+        wire_up()
+    arg = {"register": chain_impls()["P"], "bind_source": ScriptedSource(), "bind_action": RecordingSink()}
+    with pytest.raises(KernelError) as err:
+        getattr(rt, call)(name, arg.get(call, int_value(1)))
+    assert (err.value.code, err.value.component) == ("UNDECLARED_COMPONENT", name)
+    assert err.value.detail == f"'{name}' is not " + ("a declared context or controller" if call == "register"
+                                                      else "declared")
+    assert not rt.failed
+    if not rt.sealed:
+        wire_up()
+    rt.emit("S", int_value(1))
+    assert [v.payload for v in sink.deliveries] == [2]
 
 
 def test_emit_rejects_non_sources_and_unknowns():
