@@ -19,13 +19,13 @@ rule of ``validate`` and the contracts, and tests no declaration class itself.
 
 A single engine instance is single-threaded. Capability and continuation handles are the bound
 methods of one activation, and work only while it runs on top (``Runtime._top``, one slot; a pulled
-context's puller is the ``self`` of the get handle). Blame is assigned in two places: ``_blame``
-for platform code that raises, and ``_record``, which keeps a drain's first fault for every handle
-to raise again. The kernel builds each delivery's ``Value`` and ``TaintedValue`` itself, past
-their constructors, which would only check its own hand-off. The action log holds each delivery's
-action name and ``TaintedValue`` in two lists side by side, and ``action_log()`` pairs them at
-each read, so a delivery keeps two objects the cycle collector tracks (its ``TaintedValue`` and
-``Value``), not three.
+context's puller is the ``self`` of the get handle). Blame is assigned in two places: ``_blame``,
+the ``except`` of one ``try`` around each whole call of a provider, sink or hook, lookup included,
+and ``_record``, which keeps a drain's first fault for every handle to raise again. The kernel
+builds each delivery's ``Value`` and ``TaintedValue`` itself, past their constructors, which would
+only check its own hand-off. The action log holds each delivery's action name and ``TaintedValue``
+in two lists side by side, and ``action_log()`` pairs them at each read, so a delivery keeps two
+objects the cycle collector tracks (its ``TaintedValue`` and ``Value``), not three.
 """
 
 from __future__ import annotations
@@ -143,10 +143,8 @@ class _Activation:
             rt._top = act
             try:  # shape 0 or 6 (see _SHAPES)
                 payload = target.impl(act.get) if target.shape == 0 else target.impl()
-            except _ActivationEscape as esc:
-                if not esc.args or esc.args[0] is not act:
-                    rt._panic(target.name)
-                payload = None
+            except _ActivationEscape:  # never its own: a pulled context gets no continuation
+                rt._panic(target.name)
             except Exception as exc:
                 rt._panic(target.name, exc)
             finally:
@@ -158,9 +156,8 @@ class _Activation:
                                               f"{target.tag}, got {payload!r}", target.name))
             taints = act.taints
         else:
-            current = target.resource.current  # outside the try, as in ``emit``
             try:
-                v = current()
+                v = target.resource.current()
             except Exception as exc:
                 raise rt._blame("PLATFORM_FAULT", target.name, "provider", exc) from exc
             if v is None:
@@ -349,7 +346,11 @@ class Runtime:
 
     def set_source(self, name: str, v: Value) -> None:
         """Update a source's pull value without publishing."""
-        self._call_out("PLATFORM_FAULT", name, "provider", self._source(name, v).resource.set, v)
+        source = self._source(name, v)
+        try:
+            source.resource.set(v)
+        except Exception as exc:
+            raise self._blame("PLATFORM_FAULT", name, "provider", exc) from exc
 
     def emit(self, name: str, v: Value) -> None:
         """Publish ``v`` from source ``name`` and run all reactions to quiescence."""
@@ -368,9 +369,8 @@ class Runtime:
             source = self._source(name, v)
         self._state = _EMITTING
         try:
-            set_ = source.resource.set  # outside the try: only what ``set`` raises is the provider's fault
             try:
-                set_(v)
+                source.resource.set(v)
             except Exception as exc:
                 raise self._blame("PLATFORM_FAULT", name, "provider", exc) from exc
             queue, payload, taints = self._queue, v.payload, source.taints
@@ -444,14 +444,6 @@ class Runtime:
             self._fault = fault
         return fault
 
-    def _call_out(self, code: str, component: str, party: str, fn, *args):
-        """Call platform code (a provider, a sink or the trace hook); what it raises
-        becomes a ``code`` fault blamed on ``component``, with the raised exception as cause."""
-        try:
-            return fn(*args)
-        except Exception as exc:
-            raise self._blame(code, component, party, exc) from exc
-
     def _blame(self, code: str, component: str, party: str, exc: Exception) -> RuntimeFault:
         """The ``code`` fault, blamed on ``component``, of platform code (``party``) that raised ``exc``."""
         return self._record(RuntimeFault(code, f"{party} raised {type(exc).__name__}: {exc}", component))
@@ -467,7 +459,10 @@ class Runtime:
         """Build and hand the trace hook ``component``'s ``kind`` event: the one place a ``TraceEvent`` is
         made. Its value is ``payload`` as a ``tag`` value with ``taints`` decoded, or None without a tag."""
         value = None if tag is None else TaintedValue(Value(tag, payload), self._names[taints])
-        self._call_out("HOOK_FAULT", component, "trace hook", self.trace, TraceEvent(kind, component, value, target))
+        try:
+            self.trace(TraceEvent(kind, component, value, target))
+        except Exception as exc:
+            raise self._blame("HOOK_FAULT", component, "trace hook", exc) from exc
 
 
 _JUMPS = frozenset(dis.hasjrel + dis.hasjabs)

@@ -71,7 +71,7 @@ class Reference:
         self.trace = None  # callable(TraceEvent)
 
     def set_source(self, name: str, v: Value) -> None:
-        self._call_out("PLATFORM_FAULT", name, "provider", self.providers[name].set, v)
+        self._call_out("PLATFORM_FAULT", name, "provider", lambda: self.providers[name].set(v))
 
     def emit(self, name: str, v: Value) -> None:
         assert not self.failed and isinstance(self.spec.find(name), SourceDecl)
@@ -80,7 +80,7 @@ class Reference:
             raise KernelError("REENTRANT_EMIT", f"emit of '{name}' started while an emit of this runtime runs")
         self.emitting = True
         try:
-            self._call_out("PLATFORM_FAULT", name, "provider", self.providers[name].set, v)
+            self._call_out("PLATFORM_FAULT", name, "provider", lambda: self.providers[name].set(v))
             self._wake(name, TaintedValue(v, frozenset({name})))
             while self.queue:
                 self._activate(*self.queue.popleft())
@@ -158,7 +158,7 @@ class Reference:
         def get():
             self._check_live(act)
             if isinstance(self.spec.find(target), SourceDecl):
-                v = self._call_out("PLATFORM_FAULT", target, "provider", self.providers[target].current)
+                v = self._call_out("PLATFORM_FAULT", target, "provider", lambda: self.providers[target].current())
                 if v is None:
                     raise self._fail("PULL_BEFORE_VALUE",
                                      f"source '{target}' pulled before any value was set", act.name)
@@ -184,7 +184,7 @@ class Reference:
                 raise self._fail("CONTRACT_VIOLATION",
                                  f"value sent to '{target}' must be {tag}, got {payload!r}", act.name)
             v = Value(tag, payload)
-            self._call_out("PLATFORM_FAULT", target, "sink", self.sinks[target], v)
+            self._call_out("PLATFORM_FAULT", target, "sink", lambda: self.sinks[target](v))
             self.log.append((target, TaintedValue(v, act.taints)))
 
         return do
@@ -216,8 +216,8 @@ class Reference:
 
     def _event(self, kind: str, component: str, tv, target) -> None:
         if self.trace is not None:
-            event = TraceEvent(kind, component, tv, target)
-            self._call_out("HOOK_FAULT", component, "trace hook", self.trace, event)
+            self._call_out("HOOK_FAULT", component, "trace hook",
+                           lambda: self.trace(TraceEvent(kind, component, tv, target)))
 
     def _fail(self, code: str, detail: str, component: str) -> RuntimeFault:
         return self._record(RuntimeFault(code, detail, component))
@@ -228,8 +228,9 @@ class Reference:
                 act.fault = fault
         return fault
 
-    def _call_out(self, code: str, component: str, party: str, fn, *args):
+    def _call_out(self, code: str, component: str, party: str, call):
+        """Run ``call()``, a call of platform code with its lookups in it, blaming what it raises."""
         try:
-            return fn(*args)
+            return call()
         except Exception as exc:
             raise self._fail(code, f"{party} raised {type(exc).__name__}: {exc}", component) from exc

@@ -182,6 +182,16 @@ def test_check_and_graph_never_import_the_demo_side(repo_root, webcam_scc):
     assert (demo.returncode, demo.stdout, demo.stderr) == (0, FROZEN_DEMO_LINE, "")
 
 
+def test_the_cli_module_runs_as_the_package_does(repo_root, webcam_scc):
+    """``python -m scckit.cli`` prints and exits as ``python -m scckit``."""
+    env = {**os.environ, "PYTHONPATH": str(repo_root / "src")}
+    runs = [subprocess.run([sys.executable, "-m", module, "check", str(webcam_scc), "--contracts"],
+                           cwd=repo_root, env=env, capture_output=True, text=True)
+            for module in ("scckit.cli", "scckit")]
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [(0, runs[1].stdout, "")] * 2
+    assert runs[1].stdout.startswith("ProcessPicture: (-> picture? (-> picture? void?) none/c)\n")
+
+
 def test_demo_with_shipped_scenario_file(run_cli, default_scn):
     code, out, _ = run_cli("demo", "--scenario", str(default_scn))
     assert code == 0

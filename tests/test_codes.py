@@ -5,7 +5,7 @@ import ast
 import re
 
 _CODE = re.compile(r"[A-Z][A-Z_]+")
-_CODE_FIRST = {"KernelError", "RuntimeFault", "ParseError", "_call_out", "_blame"}
+_CODE_FIRST = {"KernelError", "RuntimeFault", "ParseError", "_blame"}
 
 
 def _string(node):
@@ -16,8 +16,8 @@ def _string(node):
 
 def _raised_codes(tree: ast.AST) -> set[str]:
     """The literal codes of every error and diagnostic made in ``tree``: the code argument of
-    the error classes, ``Diagnostic``, ``_call_out`` and ``_blame``, any ``code=`` argument or
-    default, and the code of each row of ``seal``'s table of missing components."""
+    the error classes, ``Diagnostic`` and ``_blame``, any ``code=`` argument or default, and the
+    code of each row of ``seal``'s table of missing components."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):

@@ -27,6 +27,7 @@ from scckit import (
     TaintedValue,
     Value,
 )
+from scckit.decls import _record
 
 INT, STRING, PICTURE = DataType.INT, DataType.STRING, DataType.PICTURE
 AD_CONTRACT = InteractionContract("Cam", "IP", PublishSpec.MAYBE)
@@ -141,6 +142,15 @@ def test_records_keep_their_checks():
     tv = TaintedValue(Value(INT, 1), {"B", "A"})
     assert type(tv.taints) is frozenset and tv.taints == {"A", "B"}
     assert type(dataclasses.replace(tv, taints={"C"}).taints) is frozenset
+
+
+def test_a_record_refuses_a_field_with_a_default_factory():
+    class Bag:
+        items: list = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError) as err:
+        _record(Bag)
+    assert str(err.value) == "Bag.items: a record field takes no default_factory"
 
 
 def test_records_keep_an_exact_frozenset_or_tuple_and_convert_the_rest():

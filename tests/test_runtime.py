@@ -922,23 +922,51 @@ def test_failing_sink_is_a_platform_fault_of_its_action(swallow):
     assert rt.failed and rt.action_log() == ()
 
 
+class _LostLink(ScriptedSource):
+    """A provider whose ``current`` and ``set`` are properties that raise once it is ``armed``: then
+    looking either up fails, before any call. Binding looks both up, so arm it after ``seal``."""
+
+    armed = False
+
+    @property
+    def current(self):
+        return self._linked(super().current)
+
+    @property
+    def set(self):
+        return self._linked(super().set)
+
+    def _linked(self, method):
+        if self.armed:
+            raise RuntimeError("provider lost its link")
+        return method
+
+
+class _Offline(ScriptedSource):
+    def current(self):
+        raise OSError("sensor offline")
+
+
+class _Unplugged(ScriptedSource):
+    def set(self, v):
+        raise OSError("camera gone")
+
+
+# S wakes P, which pulls T.
+PULL_T = Specification((
+    SourceDecl("S", INT),
+    SourceDecl("T", INT),
+    ActionDecl("A", INT),
+    ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="T")),
+    ControllerDecl("C", "P", "A"),
+))
+
+
 @pytest.mark.parametrize("swallow", [False, True])
-def test_failing_provider_is_a_platform_fault_of_its_source(swallow):
-    class Offline:
-        def set(self, v):
-            pass
-
-        def current(self):
-            raise OSError("sensor offline")
-
-    spec = Specification((
-        SourceDecl("S", INT),
-        SourceDecl("T", INT),
-        ActionDecl("A", INT),
-        ContextDecl("P", INT, when_provided("S", PublishSpec.ALWAYS, get="T")),
-        ControllerDecl("C", "P", "A"),
-    ))
-
+@pytest.mark.parametrize("fails", ["call", "lookup"])
+def test_failing_provider_is_a_platform_fault_of_its_source(fails, swallow):
+    """A pull of T fails as T's provider's fault, whether ``current`` raises when called or
+    when looked up, and even if the puller swallows it."""
     def puller(v, get, publish):
         try:
             v += get()
@@ -947,39 +975,72 @@ def test_failing_provider_is_a_platform_fault_of_its_source(swallow):
                 raise
         publish(v)
 
-    rt = create_runtime(spec)
+    rt = create_runtime(PULL_T)
     rt.register("P", puller)
     rt.register("C", lambda v, do: do(v))
     rt.bind_source("S", ScriptedSource())
-    rt.bind_source("T", Offline())
+    provider = _Offline() if fails == "call" else _LostLink(int_value(2))
+    rt.bind_source("T", provider)
     rt.bind_action("A", RecordingSink())
     rt.seal()
+    provider.armed = True  # read by _LostLink alone
     with pytest.raises(RuntimeFault) as err:
         rt.emit("S", int_value(1))
-    assert str(err.value) == "PLATFORM_FAULT [T]: provider raised OSError: sensor offline"
-    assert isinstance(err.value.__cause__, OSError)
+    raised = OSError("sensor offline") if fails == "call" else RuntimeError("provider lost its link")
+    assert str(err.value) == f"PLATFORM_FAULT [T]: provider raised {type(raised).__name__}: {raised}"
+    assert type(err.value.__cause__) is type(raised)
     assert rt.failed and not rt._queue and rt.action_log() == ()
 
 
-class _Unplugged(ScriptedSource):
-    def set(self, v):
-        raise OSError("camera gone")
-
-
 @pytest.mark.parametrize("during_emit", [True, False])
-def test_failing_provider_set_is_a_platform_fault_of_its_source(during_emit):
+@pytest.mark.parametrize("fails", ["call", "lookup"])
+def test_failing_provider_set_is_a_platform_fault_of_its_source(fails, during_emit):
     rt = create_runtime(CHAIN)
     for name, impl in chain_impls().items():
         rt.register(name, impl)
-    rt.bind_source("S", _Unplugged())
+    provider = _Unplugged() if fails == "call" else _LostLink()
+    rt.bind_source("S", provider)
     rt.bind_action("A", RecordingSink())
     rt.seal()
+    provider.armed = True  # read by _LostLink alone
     with pytest.raises(RuntimeFault) as err:
         (rt.emit if during_emit else rt.set_source)("S", int_value(1))
-    assert str(err.value) == "PLATFORM_FAULT [S]: provider raised OSError: camera gone"
-    assert isinstance(err.value.__cause__, OSError)
+    raised = OSError("camera gone") if fails == "call" else RuntimeError("provider lost its link")
+    assert str(err.value) == f"PLATFORM_FAULT [S]: provider raised {type(raised).__name__}: {raised}"
+    assert type(err.value.__cause__) is type(raised)
     assert rt.failed is during_emit  # set_source runs outside any drain
     assert not rt._queue and rt.action_log() == ()
+
+
+@pytest.mark.parametrize("entry", ["pull", "emit", "set_source"])
+def test_a_provider_lookup_that_raises_fails_as_the_reference_does(entry):
+    """Looking up T's ``current`` in a pull, or S's ``set`` in ``emit`` or ``set_source``, raises:
+    the kernel and the reference both blame that provider, with the same fault, ``failed``,
+    queue and log."""
+    seen = []
+    for make in ("kernel", "reference"):
+        providers, sinks = {"S": _LostLink(), "T": _LostLink(int_value(2))}, {"A": RecordingSink()}
+        impls = {"P": lambda v, get, publish: publish(v + get()), "C": lambda v, do: do(v)}
+        if make == "kernel":
+            rt = create_runtime(PULL_T)
+            for name, impl in impls.items():
+                rt.register(name, impl)
+            for name, provider in providers.items():
+                rt.bind_source(name, provider)
+            rt.bind_action("A", sinks["A"])
+            rt.seal()
+            queue = rt._queue
+        else:
+            rt = reference.Reference(PULL_T, impls, providers, sinks)
+            queue = rt.queue
+        providers["T" if entry == "pull" else "S"].armed = True
+        with pytest.raises(RuntimeFault) as err:
+            (rt.set_source if entry == "set_source" else rt.emit)("S", int_value(1))
+        seen.append((str(err.value), type(err.value.__cause__), rt.failed, tuple(queue), rt.action_log()))
+    assert seen[0] == seen[1]
+    blamed = "T" if entry == "pull" else "S"
+    assert seen[0] == (f"PLATFORM_FAULT [{blamed}]: provider raised RuntimeError: provider lost its link",
+                       RuntimeError, entry != "set_source", (), ())
 
 
 def test_binding_none_is_rejected():
